@@ -1,7 +1,7 @@
 package xpath
 
 // Benchmarks backing EXPERIMENTS.md: one benchmark family per reproduced
-// artifact (see DESIGN.md §2 for the experiment index). Custom metrics:
+// artifact (see EXPERIMENTS.md, "Experiment index"). Custom metrics:
 // "cells" is the number of context-value table cells written (the space
 // quantity bounded by Theorems 7 and 10), "contexts" the number of
 // single-context evaluations.

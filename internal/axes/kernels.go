@@ -82,14 +82,10 @@ func (sc *Scratch) seenSet(doc *xmltree.Document) *xmltree.Set {
 // kernel needs one); passing a reused Scratch makes the call allocation-free
 // for every axis except id (whose output depends on string values, not
 // topology). Runs in O(|D|/w + |X| + |output|) word operations for the
-// structural axes, against the O(|D|) node scans of ApplyReference.
+// structural axes.
 //
 //xpathlint:noalloc
 func ApplyInto(dst *xmltree.Set, a Axis, x *xmltree.Set, sc *Scratch) {
-	if referenceMode.Load() {
-		dst.CopyFrom(ApplyReference(a, x))
-		return
-	}
 	dst.Clear()
 	if x.IsEmpty() {
 		return
@@ -275,10 +271,6 @@ func ApplyTest(dst *xmltree.Set, a Axis, x *xmltree.Set, test *xmltree.Set, sc *
 func ApplyInverseInto(dst *xmltree.Set, a Axis, y *xmltree.Set, sc *Scratch) {
 	if a != ID {
 		ApplyInto(dst, a.Inverse(), y, sc)
-		return
-	}
-	if referenceMode.Load() {
-		dst.CopyFrom(ApplyInverseReference(a, y))
 		return
 	}
 	dst.Clear()

@@ -150,25 +150,6 @@ func TestApplyWrappersMatchInto(t *testing.T) {
 	}
 }
 
-// TestReferenceModeRoundTrip makes sure the E16 benchmarking switch routes
-// through the reference and back without changing results.
-func TestReferenceModeRoundTrip(t *testing.T) {
-	doc := buildDoc(t, 5, 70)
-	rng := rand.New(rand.NewSource(23))
-	x := randomSet(rng, doc)
-	dst := xmltree.NewSet(doc)
-	ref := xmltree.NewSet(doc)
-	for _, a := range All() {
-		ApplyInto(dst, a, x, nil)
-		SetReferenceMode(true)
-		ApplyInto(ref, a, x, nil)
-		SetReferenceMode(false)
-		if !dst.Equal(ref) {
-			t.Fatalf("reference mode diverged on %v", a)
-		}
-	}
-}
-
 // TestKernelAllocs pins the structural-axis kernels at zero allocations per
 // call once dst and Scratch are reused — the regression guard for the
 // zero-alloc contract. (The id axis is excluded: its output depends on
@@ -188,15 +169,17 @@ func TestKernelAllocs(t *testing.T) {
 		FollowingSibling, PrecedingSibling}
 	for _, a := range structural {
 		a := a
-		if n := testing.AllocsPerRun(20, func() { ApplyInto(dst, a, x, sc) }); n != 0 {
-			t.Errorf("ApplyInto(%v): %v allocs/op, want 0", a, n)
-		}
-		if n := testing.AllocsPerRun(20, func() { ApplyTest(dst, a, x, test, sc) }); n != 0 {
-			t.Errorf("ApplyTest(%v): %v allocs/op, want 0", a, n)
-		}
-		if n := testing.AllocsPerRun(20, func() { ApplyInverseInto(dst, a, x, sc) }); n != 0 {
-			t.Errorf("ApplyInverseInto(%v): %v allocs/op, want 0", a, n)
-		}
+		t.Run(a.String(), func(t *testing.T) {
+			if n := testing.AllocsPerRun(20, func() { ApplyInto(dst, a, x, sc) }); n != 0 {
+				t.Errorf("ApplyInto(%v): %v allocs/op, want 0", a, n)
+			}
+			if n := testing.AllocsPerRun(20, func() { ApplyTest(dst, a, x, test, sc) }); n != 0 {
+				t.Errorf("ApplyTest(%v): %v allocs/op, want 0", a, n)
+			}
+			if n := testing.AllocsPerRun(20, func() { ApplyInverseInto(dst, a, x, sc) }); n != 0 {
+				t.Errorf("ApplyInverseInto(%v): %v allocs/op, want 0", a, n)
+			}
+		})
 	}
 	// The id axis must stay allocation-free too: DerefIDsInto tokenizes in
 	// place and map lookups by substring do not allocate.

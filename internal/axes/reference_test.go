@@ -1,27 +1,12 @@
 package axes
 
-import (
-	"sync/atomic"
-
-	"repro/internal/xmltree"
-)
-
-// referenceMode routes the Into kernels through ApplyReference, the
-// retained pointer-chasing implementation the flat kernels replaced. It
-// exists solely for the E16 before/after benchmark (bench.E16) and must
-// never be enabled in concurrent or production use.
-var referenceMode atomic.Bool
-
-// SetReferenceMode switches the set-at-a-time kernels between the flat
-// structure-of-arrays implementation (false, the default) and the retained
-// node-pointer reference implementation (true). Benchmarking hook only.
-func SetReferenceMode(on bool) { referenceMode.Store(on) }
+import "repro/internal/xmltree"
 
 // ApplyReference computes χ(X) with the original pointer-chasing,
 // allocate-per-call implementation (scanning []*Node via Parent()/
 // Children() with fresh scratch slices). It is retained as the semantic
 // reference: the property suite holds the flat kernels bit-identical to it
-// on randomized inputs, and E16 measures the two against each other.
+// on randomized inputs.
 func ApplyReference(a Axis, x *xmltree.Set) *xmltree.Set {
 	doc := x.Document()
 	out := xmltree.NewSet(doc)

@@ -358,8 +358,7 @@ type QueryCacheStats struct {
 }
 
 // CompileCachedStats reports the process-wide CompileCached cache counters
-// — the hit-rate source of truth for the HTTP front-end's /stats endpoint
-// and the E18 load experiment.
+// — the hit-rate source of truth for the HTTP front-end's /stats endpoint.
 func CompileCachedStats() QueryCacheStats {
 	return QueryCacheStats{
 		Hits:      queryCache.Hits(),
