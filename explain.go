@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/plan"
 	"repro/internal/syntax"
 	"repro/internal/trace"
 )
@@ -69,7 +70,7 @@ func opName(op syntax.BinOp) string { return op.String() }
 // normalized tree into. Like Explain, the output is meant for humans (the
 // CLI's -explain flag) and its exact format is not part of the API contract.
 func (q *Query) ExplainPlan() string {
-	p, err := compiledEngine.Plan(q.q)
+	p, err := plan.ProgramOf(q.q)
 	if err != nil {
 		return fmt.Sprintf("plan: compile error: %v\n", err)
 	}
@@ -89,7 +90,7 @@ func (q *Query) ExplainPlan() string {
 // evaluation time and result cardinality. Like Explain, the output is for
 // humans; its exact format is not part of the API contract.
 func (q *Query) ExplainAnalyze(doc *Document) (string, error) {
-	p, err := compiledEngine.Plan(q.q)
+	p, err := plan.ProgramOf(q.q)
 	if err != nil {
 		return "", fmt.Errorf("xpath: explain analyze: %w", err)
 	}

@@ -20,66 +20,23 @@ var (
 	mCompileNs  = metrics.Default().Histogram("plan.compile_ns")
 )
 
-// planCache maps compiled queries to their programs. Keys are *syntax.Query
-// pointers: a query object is immutable after syntax.Compile, so pointer
-// identity is a sound (and collision-free) cache key even when two queries
-// share source text but were compiled with different variable bindings.
-type planCache struct {
-	mu sync.RWMutex
-	m  map[*syntax.Query]*Program
+// ProgramOf returns q's compiled program. The program is compiled on the
+// first call and stored on q itself, so every later call — from any
+// goroutine, any Engine, any cache — returns the same *Program, and the
+// program lives exactly as long as its query. Compile itself always
+// compiles afresh.
+func ProgramOf(q *syntax.Query) (*Program, error) {
+	v, err := q.Compiled(compileAny)
+	p, _ := v.(*Program)
+	return p, err
 }
 
-// maxCachedPlans bounds the pointer-keyed cache; beyond it, an arbitrary
-// entry is evicted (plans are cheap to recompile, the bound only prevents
-// unbounded growth under churning ad-hoc queries).
-const maxCachedPlans = 1024
+func compileAny(q *syntax.Query) (any, error) { return Compile(q) }
 
-func (c *planCache) get(q *syntax.Query) (*Program, error) {
-	c.mu.RLock()
-	p := c.m[q]
-	c.mu.RUnlock()
-	if p != nil {
-		return p, nil
-	}
-	p, err := Compile(q)
-	if err != nil {
-		return nil, err
-	}
-	c.put(q, p)
-	return p, nil
-}
-
-func (c *planCache) put(q *syntax.Query, p *Program) {
-	// Fast path for repeated traffic (CompileCached primes on every call):
-	// a read lock suffices to see the entry is already there.
-	c.mu.RLock()
-	_, present := c.m[q]
-	c.mu.RUnlock()
-	if present {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[*syntax.Query]*Program)
-	}
-	if _, ok := c.m[q]; ok {
-		return // first store wins; concurrent compiles produce equal programs
-	}
-	if len(c.m) >= maxCachedPlans {
-		for k := range c.m {
-			delete(c.m, k)
-			break
-		}
-	}
-	c.m[q] = p
-}
-
-// CachedQuery is one entry of a SourceCache: the analyzed syntax tree and
-// its compiled program.
-type CachedQuery struct {
-	Query *syntax.Query
-	Prog  *Program
+// cacheEntry is one SourceCache slot: the analyzed query, which carries its
+// compiled program (ProgramOf).
+type cacheEntry struct {
+	q *syntax.Query
 
 	// lastUsed is the cache's logical clock value at this entry's most
 	// recent hit (or its insertion). It is updated under the cache's read
@@ -93,7 +50,8 @@ type CachedQuery struct {
 // entirely. Entries are immutable and shared; concurrent lookups of the
 // same source converge on one entry. Sources that fail to compile enter a
 // bounded negative cache, so a hot invalid query is rejected from memory
-// instead of re-parsing on every request.
+// instead of re-parsing on every request. It is the only plan cache: the
+// compiled program itself lives on the cached query (ProgramOf).
 //
 // Sources compiled with variable bindings must not go through a
 // SourceCache (the bindings are substituted into the tree, so source text
@@ -101,7 +59,7 @@ type CachedQuery struct {
 type SourceCache struct {
 	mu       sync.RWMutex
 	cap      int
-	m        map[string]*CachedQuery
+	m        map[string]*cacheEntry
 	compiles atomic.Int64
 
 	// errs is the negative cache: sources whose compilation failed, mapped
@@ -131,38 +89,19 @@ func NewSourceCache(capacity int) *SourceCache {
 	}
 	return &SourceCache{
 		cap:  capacity,
-		m:    make(map[string]*CachedQuery),
+		m:    make(map[string]*cacheEntry),
 		errs: make(map[string]error),
 	}
 }
 
-// Get returns the cached compilation of src, compiling and caching on a
-// miss. Hits refresh the entry's recency stamp; when the cache is full, the
-// least recently used entry is evicted to make room — a full cache serving
-// its working set never discards a hot entry for a newly seen source's sake
-// of anything but the coldest slot.
-func (c *SourceCache) Get(src string) (*CachedQuery, error) {
-	e, _, err := c.getTraced(src, nil)
-	return e, err
-}
-
-// GetTraced is Get with an optional tracer: a cache miss that compiles
-// emits one KindCompile span (named by the source) carrying the compile
-// time. tr may be nil.
-func (c *SourceCache) GetTraced(src string, tr trace.Tracer) (*CachedQuery, error) {
-	e, _, err := c.getTraced(src, tr)
-	return e, err
-}
-
-// GetInfo is GetTraced plus a cache-hit report: hit is true when the call
-// was served from the cache without compiling anything — from the entry map
-// (err nil) or from the negative cache (err non-nil). Servers use it to
-// attribute per-request cache behavior without racing on counter deltas.
-func (c *SourceCache) GetInfo(src string, tr trace.Tracer) (e *CachedQuery, hit bool, err error) {
-	return c.getTraced(src, tr)
-}
-
-func (c *SourceCache) getTraced(src string, tr trace.Tracer) (*CachedQuery, bool, error) {
+// Get returns the analyzed query for src, compiling it — syntax tree and
+// program — and caching it on a miss. hit is true when the call was served
+// from the cache without compiling anything: from the entry map (err nil)
+// or from the negative cache (err non-nil). A miss that compiles emits one
+// KindCompile span (named by the source) carrying the compile time; tr may
+// be nil. Hits refresh the entry's recency stamp; when the cache is full,
+// the least recently used entry is evicted to make room.
+func (c *SourceCache) Get(src string, tr trace.Tracer) (q *syntax.Query, hit bool, err error) {
 	c.mu.RLock()
 	e := c.m[src]
 	if e != nil {
@@ -176,7 +115,7 @@ func (c *SourceCache) getTraced(src string, tr trace.Tracer) (*CachedQuery, bool
 	if e != nil {
 		c.hits.Add(1)
 		mSrcHits.Add(1)
-		return e, true, nil
+		return e.q, true, nil
 	}
 	if cachedErr != nil {
 		// Negative hit: the source is known-bad; hand back the original
@@ -189,10 +128,11 @@ func (c *SourceCache) getTraced(src string, tr trace.Tracer) (*CachedQuery, bool
 	c.misses.Add(1)
 	mSrcMisses.Add(1)
 	t0 := trace.Now()
-	q, err := syntax.Compile(src)
-	var p *Program
+	q, err = syntax.Compile(src)
 	if err == nil {
-		p, err = Compile(q)
+		// Compile the program now, not on first evaluation: a plan error
+		// enters the negative cache, and the compile time below covers it.
+		_, err = ProgramOf(q)
 	}
 	if err != nil {
 		c.storeError(src, err)
@@ -209,20 +149,20 @@ func (c *SourceCache) getTraced(src string, tr trace.Tracer) (*CachedQuery, bool
 			In: trace.CardUnknown, Out: trace.CardUnknown, Ns: compileNs,
 		})
 	}
-	fresh := &CachedQuery{Query: q, Prog: p}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.m[src]; e != nil {
 		e.lastUsed.Store(c.tick.Add(1))
-		return e, false, nil // a concurrent miss won the race; converge on it
+		return e.q, false, nil // a concurrent miss won the race; converge on it
 	}
 	if len(c.m) >= c.cap {
 		c.evictLRULocked()
 	}
+	fresh := &cacheEntry{q: q}
 	fresh.lastUsed.Store(c.tick.Add(1))
 	c.m[src] = fresh
 	mSrcLen.Add(1)
-	return fresh, false, nil
+	return q, false, nil
 }
 
 // storeError stores a compile failure in the bounded negative cache.

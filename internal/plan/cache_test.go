@@ -6,32 +6,33 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/syntax"
+	"repro/internal/trace"
 	"repro/internal/values"
 	"repro/internal/workload"
 )
 
 // TestSourceCacheProperty: for every query in the workload matrix, a
-// SourceCache hit must return the same entry as the first miss, and
-// evaluating the cached plan must produce exactly the result of a cold
+// SourceCache hit must return the same query as the first miss, and
+// evaluating the cached query must produce exactly the result of a cold
 // compile — the plan-cache correctness property of EXPERIMENTS.md §E14.
 func TestSourceCacheProperty(t *testing.T) {
 	cache := NewSourceCache(0)
 	doc := workload.Scaled(80)
 	eng := New()
 	for _, src := range workloadQueries() {
-		cold, err := cache.Get(src)
-		if err != nil {
-			t.Fatalf("cold Get(%q): %v", src, err)
+		cold, hit, err := cache.Get(src, nil)
+		if err != nil || hit {
+			t.Fatalf("cold Get(%q): hit=%v err=%v", src, hit, err)
 		}
-		warm, err := cache.Get(src)
-		if err != nil {
-			t.Fatalf("warm Get(%q): %v", src, err)
+		warm, hit, err := cache.Get(src, nil)
+		if err != nil || !hit {
+			t.Fatalf("warm Get(%q): hit=%v err=%v", src, hit, err)
 		}
 		if warm != cold {
-			t.Errorf("%q: cache hit returned a different entry", src)
+			t.Errorf("%q: cache hit returned a different query", src)
 		}
-		eng.Prime(cold.Query, cold.Prog)
-		got, _, err := eng.Evaluate(cold.Query, doc, engine.RootContext(doc))
+		got, _, err := eng.Evaluate(cold, doc, engine.RootContext(doc))
 		if err != nil {
 			t.Fatalf("cached eval %q: %v", src, err)
 		}
@@ -48,21 +49,21 @@ func TestSourceCacheProperty(t *testing.T) {
 }
 
 // TestSourceCacheConcurrent: concurrent misses for the same source converge
-// on one entry; the cache never returns an error or a divergent plan under
+// on one query; the cache never returns an error or a divergent plan under
 // contention.
 func TestSourceCacheConcurrent(t *testing.T) {
 	cache := NewSourceCache(64)
 	const goroutines = 16
 	srcs := workloadQueries()
 	var wg sync.WaitGroup
-	entries := make([][]*CachedQuery, goroutines)
+	entries := make([][]*syntax.Query, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			entries[g] = make([]*CachedQuery, len(srcs))
+			entries[g] = make([]*syntax.Query, len(srcs))
 			for i, src := range srcs {
-				e, err := cache.Get(src)
+				e, _, err := cache.Get(src, nil)
 				if err != nil {
 					t.Errorf("Get(%q): %v", src, err)
 					return
@@ -75,7 +76,7 @@ func TestSourceCacheConcurrent(t *testing.T) {
 	for i := range srcs {
 		for g := 1; g < goroutines; g++ {
 			if entries[g][i] != entries[0][i] {
-				t.Errorf("%q: goroutines saw different cache entries", srcs[i])
+				t.Errorf("%q: goroutines saw different cached queries", srcs[i])
 			}
 		}
 	}
@@ -85,7 +86,7 @@ func TestSourceCacheConcurrent(t *testing.T) {
 func TestSourceCacheBound(t *testing.T) {
 	cache := NewSourceCache(8)
 	for i := 0; i < 50; i++ {
-		if _, err := cache.Get(fmt.Sprintf(`/child::a[%d]`, i+1)); err != nil {
+		if _, _, err := cache.Get(fmt.Sprintf(`/child::a[%d]`, i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,17 +104,17 @@ func TestSourceCacheLRU(t *testing.T) {
 	cache := NewSourceCache(3)
 	srcs := []string{`/child::a`, `/child::b`, `/child::c`}
 	for _, src := range srcs {
-		if _, err := cache.Get(src); err != nil {
+		if _, _, err := cache.Get(src, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch a and c so b is the least recently used entry.
 	for _, src := range []string{srcs[0], srcs[2]} {
-		if _, err := cache.Get(src); err != nil {
+		if _, _, err := cache.Get(src, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := cache.Get(`/child::d`); err != nil { // displaces exactly one entry
+	if _, _, err := cache.Get(`/child::d`, nil); err != nil { // displaces exactly one entry
 		t.Fatal(err)
 	}
 	if cache.Len() != 3 {
@@ -138,11 +139,11 @@ func TestSourceCacheLRU(t *testing.T) {
 func TestSourceCacheCounters(t *testing.T) {
 	cache := NewSourceCache(8)
 	for i := 0; i < 3; i++ {
-		if _, err := cache.Get(`/child::a`); err != nil {
+		if _, _, err := cache.Get(`/child::a`, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := cache.Get(`/child::b`); err != nil {
+	if _, _, err := cache.Get(`/child::b`, nil); err != nil {
 		t.Fatal(err)
 	}
 	cache.Contains(`/child::a`)
@@ -165,7 +166,7 @@ func TestSourceCacheCounters(t *testing.T) {
 // inflated the counter without ever producing a plan.
 func TestSourceCacheError(t *testing.T) {
 	cache := NewSourceCache(8)
-	if _, err := cache.Get(`//a[`); err == nil {
+	if _, _, err := cache.Get(`//a[`, nil); err == nil {
 		t.Fatal("invalid query must fail")
 	}
 	if cache.Len() != 0 {
@@ -185,13 +186,13 @@ func TestSourceCacheError(t *testing.T) {
 // and parse per request once it has failed once.
 func TestSourceCacheNegative(t *testing.T) {
 	cache := NewSourceCache(8)
-	_, err1 := cache.Get(`//a[`)
-	if err1 == nil {
-		t.Fatal("invalid query must fail")
+	_, hit1, err1 := cache.Get(`//a[`, nil)
+	if err1 == nil || hit1 {
+		t.Fatalf("first Get(bad source) = hit=%v err=%v, want a compiling miss that fails", hit1, err1)
 	}
-	_, err2 := cache.Get(`//a[`)
-	if err2 == nil {
-		t.Fatal("invalid query must keep failing")
+	_, hit2, err2 := cache.Get(`//a[`, nil)
+	if err2 == nil || !hit2 {
+		t.Fatalf("second Get(bad source) = hit=%v err=%v, want a negative-cache hit", hit2, err2)
 	}
 	if err1 != err2 {
 		t.Errorf("second Get re-parsed: got a fresh error %q, want the cached %q", err2, err1)
@@ -206,18 +207,75 @@ func TestSourceCacheNegative(t *testing.T) {
 		t.Errorf("Compiles() = %d, want 0", got)
 	}
 	// A valid source afterwards compiles exactly once.
-	if _, err := cache.Get(`/child::a`); err != nil {
+	if _, _, err := cache.Get(`/child::a`, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := cache.Compiles(); got != 1 {
 		t.Errorf("Compiles() = %d after one valid compile, want 1", got)
 	}
-	// GetInfo reports the negative hit as served-from-cache.
-	if _, hit, err := cache.GetInfo(`//a[`, nil); err == nil || !hit {
-		t.Errorf("GetInfo(bad source) = hit=%v err=%v, want a negative-cache hit", hit, err)
+	if _, hit, err := cache.Get(`/child::a`, nil); err != nil || !hit {
+		t.Errorf("Get(warm source) = hit=%v err=%v, want hit", hit, err)
 	}
-	if _, hit, err := cache.GetInfo(`/child::a`, nil); err != nil || !hit {
-		t.Errorf("GetInfo(warm source) = hit=%v err=%v, want hit", hit, err)
+}
+
+// TestSourceCacheCompileSpan: a compiling miss emits exactly one
+// KindCompile span named by the source; hits emit nothing.
+func TestSourceCacheCompileSpan(t *testing.T) {
+	cache := NewSourceCache(8)
+	rec := trace.NewRecorder()
+	for i := 0; i < 3; i++ {
+		if _, _, err := cache.Get(`/child::a`, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := rec.Rows()
+	if len(rows) != 1 || rows[0].Kind != trace.KindCompile || rows[0].Name != `/child::a` || rows[0].Calls != 1 {
+		t.Errorf("spans = %+v, want one KindCompile call named /child::a", rows)
+	}
+}
+
+// TestProgramOfConcurrent: goroutines racing to compile one fresh query all
+// get the same program (run under -race, this also checks the slot on
+// syntax.Query publishes it safely).
+func TestProgramOfConcurrent(t *testing.T) {
+	q := mustCompileQuery(t, `/descendant::b[child::d]/child::c[position() = last()]`)
+	const goroutines = 16
+	progs := make([]*Program, goroutines)
+	var wg sync.WaitGroup
+	for g := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := ProgramOf(q)
+			if err != nil {
+				t.Error(err)
+			}
+			progs[g] = p
+		}()
+	}
+	wg.Wait()
+	for g, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatalf("goroutine %d got program %p, goroutine 0 got %p", g, p, progs[0])
+		}
+	}
+}
+
+// TestProgramOfSurvivesChurn: a query keeps its program however many other
+// queries compile in between — more than any bounded cache would hold.
+func TestProgramOfSurvivesChurn(t *testing.T) {
+	q := mustCompileQuery(t, `/descendant::b[child::d]/child::c`)
+	first, err := ProgramOf(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2048; i++ {
+		if _, err := ProgramOf(mustCompileQuery(t, fmt.Sprintf(`/child::a[%d]`, i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again, err := ProgramOf(q); err != nil || again != first {
+		t.Errorf("ProgramOf after churn = %p, %v; want the first program %p", again, err, first)
 	}
 }
 
@@ -226,7 +284,7 @@ func TestSourceCacheNegative(t *testing.T) {
 func TestSourceCacheNegativeBound(t *testing.T) {
 	cache := NewSourceCache(8)
 	for i := 0; i < 50; i++ {
-		if _, err := cache.Get(fmt.Sprintf(`//a[%d`, i)); err == nil {
+		if _, _, err := cache.Get(fmt.Sprintf(`//a[%d`, i), nil); err == nil {
 			t.Fatal("invalid query must fail")
 		}
 	}

@@ -231,33 +231,29 @@ func TestEngineInterface(t *testing.T) {
 	}
 }
 
-// TestPlanCacheReuse: repeated evaluations reuse one compiled program, and
-// results from cache hits equal cold-compile results.
+// TestPlanCacheReuse: one query always shares one compiled program, and
+// evaluating it equals evaluating a freshly compiled query of the same text.
 func TestPlanCacheReuse(t *testing.T) {
-	e := New()
-	q := mustCompileQuery(t, `/descendant::b[child::d]/child::c`)
-	p1, err := e.Plan(q)
+	const src = `/descendant::b[child::d]/child::c`
+	q := mustCompileQuery(t, src)
+	p1, err := ProgramOf(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := e.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("plan cache missed on identical query pointer")
+	if p2, err := ProgramOf(q); err != nil || p1 != p2 {
+		t.Errorf("ProgramOf(q) = %p, %v on the second call; want %p", p2, err, p1)
 	}
 	doc := workload.Scaled(50)
-	warm, _, err := e.Evaluate(q, doc, engine.RootContext(doc))
+	warm, _, err := New().Evaluate(q, doc, engine.RootContext(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _, err := New().Evaluate(q, doc, engine.RootContext(doc))
+	cold, _, err := New().Evaluate(mustCompileQuery(t, src), doc, engine.RootContext(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !values.Equal(warm, cold) {
-		t.Errorf("cache hit diverged from cold compile: %s vs %s",
+		t.Errorf("shared program diverged from a fresh compile: %s vs %s",
 			values.Render(warm), values.Render(cold))
 	}
 }

@@ -15,30 +15,22 @@ import (
 
 // Engine evaluates queries by compiling them to flat instruction programs
 // and running them on a register VM. It implements engine.Engine and is
-// safe for concurrent use: programs are immutable, compiled plans are
-// cached per query, and each evaluation checks a machine (register file +
+// safe for concurrent use: programs are immutable and live on their query
+// (ProgramOf), and each evaluation checks a machine (register file +
 // scratch sets) out of a pool.
 type Engine struct {
-	plans planCache
-	pool  sync.Pool
+	pool sync.Pool
 }
 
-// New returns a compiled-plan engine with an empty plan cache.
+// New returns a compiled-plan engine.
 func New() *Engine { return &Engine{} }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "compiled" }
 
-// Prime inserts an externally compiled plan into the engine's cache (used
-// by the source-keyed query cache so repeated traffic skips compilation).
-func (e *Engine) Prime(q *syntax.Query, p *Program) { e.plans.put(q, p) }
-
-// Plan returns the cached program for q, compiling it on a miss.
-func (e *Engine) Plan(q *syntax.Query) (*Program, error) { return e.plans.get(q) }
-
 // Evaluate implements engine.Engine.
 func (e *Engine) Evaluate(q *syntax.Query, doc *xmltree.Document, ctx engine.Context) (values.Value, engine.Stats, error) {
-	prog, err := e.plans.get(q)
+	prog, err := ProgramOf(q)
 	if err != nil {
 		return values.Value{}, engine.Stats{}, err
 	}

@@ -62,18 +62,19 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// resolveEngine maps a request's engine field to an Engine ("" means the
-// server default). A false return means the 400 is already written.
+// resolveEngine maps a request's engine field to the engine that evaluates
+// it ("" means the server default), so responses name that engine, never
+// "auto". A false return means the 400 is already written.
 func (s *Server) resolveEngine(w http.ResponseWriter, name string) (xpath.Engine, bool) {
 	if name == "" {
-		return s.cfg.DefaultEngine, true
+		return s.cfg.DefaultEngine.Resolved(), true
 	}
 	eng, ok := xpath.EngineByName(name)
 	if !ok {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown engine %q", name))
 		return 0, false
 	}
-	return eng, true
+	return eng.Resolved(), true
 }
 
 // evalStatus maps an evaluation failure to its HTTP status and message:

@@ -93,8 +93,8 @@ func TestQueryOK(t *testing.T) {
 			t.Fatalf("node label = %q, want b", n.Label)
 		}
 	}
-	if resp.Engine != "optmincontext" && resp.Engine != "auto" {
-		t.Fatalf("engine = %q", resp.Engine)
+	if resp.Engine != "optmincontext" {
+		t.Fatalf("engine = %q, want the resolved default optmincontext", resp.Engine)
 	}
 
 	// The same source a second time must hit the process-wide source cache.

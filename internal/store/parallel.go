@@ -198,11 +198,11 @@ type splitEntry struct {
 // splitCache memoizes SplitQuery per analyzed query. Queries are immutable
 // after syntax.Compile, so pointer identity is a sound key; without the
 // cache, every EvaluateParallel call would clone and re-analyze two
-// subtrees and — worse — hand the plan engine two fresh *syntax.Query
-// pointers per call, defeating its pointer-keyed plan cache. Bounded like
-// the plan cache: beyond the cap an arbitrary entry is evicted (splits are
-// cheap to redo; the bound only prevents unbounded growth under churning
-// ad-hoc queries).
+// subtrees and — worse — hand the compiled engine two fresh queries per
+// call, each compiling its VM program anew (the program lives on its
+// query). Beyond the cap an arbitrary entry is evicted (splits are cheap
+// to redo; the bound only prevents unbounded growth under churning ad-hoc
+// queries).
 var splitCache = struct {
 	sync.RWMutex
 	m map[*syntax.Query]splitEntry

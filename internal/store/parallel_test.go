@@ -113,8 +113,8 @@ func TestEvaluateParallelTakesParallelPath(t *testing.T) {
 }
 
 // TestSplitCachedStable: repeated parallel evaluations of one query must
-// reuse the same head/tail query objects — the compiled engine's plan
-// cache is pointer-keyed, so fresh clones per call would defeat it.
+// reuse the same head/tail query objects — each carries its compiled VM
+// program, so fresh clones per call would recompile it every time.
 func TestSplitCachedStable(t *testing.T) {
 	q := mustQuery(t, `//b[d = 100]/child::c`)
 	h1, t1, ok1 := splitCached(q)

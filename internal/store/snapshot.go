@@ -21,15 +21,11 @@ import (
 // into the store's shared table, so a snapshot round trip is the cheap
 // preparation path for batch serving.
 //
-// Two format versions exist. The current "XPC2" format is self-verifying:
-// every section carries a CRC32-C, the header carries the corpus
-// generation (the durability layer's compaction counter), and a
-// self-describing footer closes the stream so truncation is always
-// detected. The legacy "XPC1" format (no checksums, no footer) is still
-// readable.
-//
-// XPC2 layout (integers are unsigned varints, strings length-prefixed,
-// CRCs fixed 4-byte little-endian CRC32-C):
+// The "XPC2" format is self-verifying: every section carries a CRC32-C,
+// the header carries the corpus generation (the durability layer's
+// compaction counter), and a self-describing footer closes the stream so
+// truncation is always detected. Layout (integers are unsigned varints,
+// strings length-prefixed, CRCs fixed 4-byte little-endian CRC32-C):
 //
 //	header    magic "XPC2", generation, docCount, crc(varints)
 //	document  id, snapLen, snapshot bytes (xmltree "XPT1"), crc(frame)
@@ -37,15 +33,10 @@ import (
 //
 // Each document CRC covers the whole frame — ID, length varint and
 // snapshot bytes — so a flipped bit anywhere is caught before the decoded
-// document can enter a store. XPC2 additionally rejects slack: snapLen
-// must equal exactly what the document decoder consumed. XPC1 tolerated
-// (and silently discarded) slack; the reader now counts it into the
-// store.snapshot.slack_bytes metric in both versions and fails only XPC2.
-//
-// XPC1 layout (legacy): magic "XPC1", docCount, then per document
-// id, snapshotLen, snapshot bytes.
+// document can enter a store. The reader also rejects slack: snapLen must
+// equal exactly what the document decoder consumed (rejected slack is
+// counted into the store.snapshot.slack_bytes metric).
 const (
-	corpusMagicV1     = "XPC1"
 	corpusMagicV2     = "XPC2"
 	corpusFooterMagic = "XPE2"
 )
@@ -54,7 +45,7 @@ const (
 const maxCorpusDocs = 1 << 24
 
 // maxDocSnapLen bounds one document's snapshot region. Like the string cap
-// of xmltree.ReadSnapString it is a plausibility bound, not a quota: a
+// of the xmltree snapshot decoder it is a plausibility bound, not a quota: a
 // hostile header claiming more fails immediately instead of driving a
 // gigantic allocation or an unbounded stream scan.
 const maxDocSnapLen = 1 << 30
@@ -166,39 +157,14 @@ func writeSnapshotEntries(w io.Writer, generation uint64, items []entry) error {
 	return nil
 }
 
-// writeSnapshotV1 emits the legacy XPC1 stream. Kept (unexported) so the
-// compatibility and fuzz suites can produce real legacy corpora; new
-// snapshots are always XPC2.
-func writeSnapshotV1(w io.Writer, items []entry) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(corpusMagicV1); err != nil {
-		return err
-	}
-	xmltree.WriteUvarint(bw, uint64(len(items)))
-	var buf bytes.Buffer
-	for _, it := range items {
-		buf.Reset()
-		if err := it.doc.WriteSnapshot(&buf); err != nil {
-			return fmt.Errorf("store: snapshot %q: %w", it.id, err)
-		}
-		xmltree.WriteSnapString(bw, it.id)
-		xmltree.WriteUvarint(bw, uint64(buf.Len()))
-		if _, err := bw.Write(buf.Bytes()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// LoadSnapshot reads a corpus written by WriteSnapshot (either format
-// version) into a fresh store.
+// LoadSnapshot reads a corpus written by WriteSnapshot into a fresh store.
 func LoadSnapshot(r io.Reader) (*Store, error) {
 	s, _, err := loadSnapshot(r)
 	return s, err
 }
 
-// loadSnapshot reads either corpus format, returning the generation the
-// snapshot carries (always 0 for XPC1).
+// loadSnapshot reads a corpus, returning the generation the snapshot
+// carries.
 func loadSnapshot(r io.Reader) (*Store, uint64, error) {
 	t0 := trace.Now()
 	br := bufio.NewReader(r)
@@ -206,74 +172,16 @@ func loadSnapshot(r io.Reader) (*Store, uint64, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, 0, fmt.Errorf("store: snapshot: %w", err)
 	}
-	var (
-		s   *Store
-		gen uint64
-		err error
-	)
-	switch string(magic) {
-	case corpusMagicV1:
-		s, err = loadSnapshotV1(br)
-	case corpusMagicV2:
-		s, gen, err = loadSnapshotV2(br)
-	default:
+	if string(magic) != corpusMagicV2 {
 		return nil, 0, fmt.Errorf("store: snapshot: bad magic %q", magic)
 	}
+	s, gen, err := loadSnapshotV2(br)
 	if err != nil {
 		return nil, 0, err
 	}
 	mSnapLoads.Add(1)
 	mSnapLoadNs.Observe(trace.Now() - t0)
 	return s, gen, nil
-}
-
-// loadSnapshotV1 reads the legacy unchecksummed body after the magic.
-// Frame slack — declared document bytes the decoder did not consume — is
-// tolerated for compatibility but counted into store.snapshot.slack_bytes.
-func loadSnapshotV1(br *bufio.Reader) (*Store, error) {
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("store: snapshot: document count: %w", err)
-	}
-	if count > maxCorpusDocs {
-		return nil, fmt.Errorf("store: snapshot: implausible document count %d", count)
-	}
-	s := New()
-	for i := uint64(0); i < count; i++ {
-		id, err := xmltree.ReadSnapString(br)
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot: document %d ID: %w", i, err)
-		}
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot: %q: length: %w", id, err)
-		}
-		// The length word is a claim, not a fact: bound it like the document
-		// count above, so a hostile header cannot commit the reader to
-		// scanning (or allocating toward) an absurd region.
-		if n > maxDocSnapLen {
-			return nil, fmt.Errorf("store: snapshot: %q: implausible document length %d", id, n)
-		}
-		lr := io.LimitReader(br, int64(n))
-		doc, consumed, err := xmltree.LoadSnapshotCounted(lr, xmltree.DefaultLimits())
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot: %q: %w", id, err)
-		}
-		// The document decoder stops at its own EOF marker; whatever of the
-		// framed region it left unread is slack. Legacy streams may carry it
-		// (and old writers never produced any), so tolerate — but count — it,
-		// and drain to stay aligned on the next document.
-		if slack := int64(n) - consumed; slack > 0 {
-			mSnapSlackBytes.Add(slack)
-			if _, err := io.Copy(io.Discard, lr); err != nil {
-				return nil, fmt.Errorf("store: snapshot: %q: %w", id, err)
-			}
-		}
-		if err := s.Add(id, doc); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
 // crcReader accumulates a CRC32-C over every byte read through it, so
@@ -348,7 +256,7 @@ func readString(c *crcReader, maxLen uint64, what string) (string, error) {
 // loadSnapshotV2 reads the checksummed XPC2 body after the magic.
 func loadSnapshotV2(br *bufio.Reader) (*Store, uint64, error) {
 	// Section checksums cover varints and payload bytes only — the magics
-	// are consumed before version dispatch and checked literally.
+	// are checked literally.
 	cr := &crcReader{br: br}
 	generation, err := binary.ReadUvarint(cr)
 	if err != nil {

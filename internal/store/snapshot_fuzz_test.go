@@ -7,13 +7,12 @@ import (
 	"repro/internal/xmltree"
 )
 
-// FuzzLoadSnapshot drives the corpus loader — current "XPC2" framing with
-// section checksums, legacy "XPC1", and the inner per-document "XPT1"
-// streams — with truncated and corrupted bytes: every outcome but
-// (valid store | error) — a panic, a runaway allocation — is a bug. The
-// per-document layer has its own fuzzer in internal/xmltree; this one
-// exercises the framing, the CRCs, the ID strings and the length-bounded
-// document regions.
+// FuzzLoadSnapshot drives the corpus loader — the "XPC2" framing with
+// section checksums and the inner per-document "XPT1" streams — with
+// truncated and corrupted bytes: every outcome but (valid store | error) —
+// a panic, a runaway allocation — is a bug. The per-document layer has its
+// own fuzzer in internal/xmltree; this one exercises the framing, the CRCs,
+// the ID strings and the length-bounded document regions.
 func FuzzLoadSnapshot(f *testing.F) {
 	s := New()
 	for _, id := range []string{"a", "b"} {
@@ -25,11 +24,17 @@ func FuzzLoadSnapshot(f *testing.F) {
 	if err := s.WriteSnapshot(&buf); err != nil {
 		f.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	if err := writeSnapshotV1(&legacy, s.snapshot()); err != nil {
+	// A second corpus with a non-zero generation, so the seeds also carry
+	// header and footer values other than 0.
+	one := New()
+	if err := one.Add("doc", xmltree.MustParseString(`<a><b id="7">some text</b><b/></a>`)); err != nil {
 		f.Fatal(err)
 	}
-	for _, valid := range [][]byte{buf.Bytes(), legacy.Bytes()} {
+	var stamped bytes.Buffer
+	if err := writeSnapshotEntries(&stamped, 7, one.snapshot()); err != nil {
+		f.Fatal(err)
+	}
+	for _, valid := range [][]byte{buf.Bytes(), stamped.Bytes()} {
 		f.Add(valid)
 		for cut := 1; cut < len(valid); cut += 3 {
 			f.Add(valid[:cut])
@@ -40,7 +45,6 @@ func FuzzLoadSnapshot(f *testing.F) {
 			f.Add(mut)
 		}
 	}
-	f.Add([]byte(corpusMagicV1))
 	f.Add([]byte(corpusMagicV2))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -60,52 +60,36 @@ func TestSnapshotV2CarriesGeneration(t *testing.T) {
 	sameCorpus(t, loaded, s)
 }
 
-func TestSnapshotLegacyV1StillLoads(t *testing.T) {
-	s := corpus(t, 5)
-	var buf bytes.Buffer
-	if err := writeSnapshotV1(&buf, s.snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	loaded, gen, err := loadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 0 {
-		t.Fatalf("legacy generation %d want 0", gen)
-	}
-	sameCorpus(t, loaded, s)
-}
-
-// v1FrameWithSlack builds a one-document XPC1 stream whose frame declares
-// pad extra bytes beyond the document stream.
-func v1FrameWithSlack(t *testing.T, pad int) []byte {
-	t.Helper()
-	var doc bytes.Buffer
-	if err := xmltree.MustParseString(`<r><c>x</c></r>`).WriteSnapshot(&doc); err != nil {
-		t.Fatal(err)
-	}
+// TestSnapshotRejectsXPC1: the unchecksummed XPC1 format had no deployed
+// base and is no longer read; its magic fails like any other.
+func TestSnapshotRejectsXPC1(t *testing.T) {
 	var b bytes.Buffer
-	b.WriteString(corpusMagicV1)
-	putUvarint(&b, 1)
-	putString(&b, "padded")
-	putUvarint(&b, uint64(doc.Len()+pad))
-	b.Write(doc.Bytes())
-	b.Write(make([]byte, pad))
-	return b.Bytes()
+	b.WriteString("XPC1")
+	putUvarint(&b, 0)
+	if _, err := LoadSnapshot(bytes.NewReader(b.Bytes())); err == nil ||
+		!strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("XPC1 stream: got %v, want bad magic", err)
+	}
 }
 
-func TestSnapshotV1SlackToleratedAndCounted(t *testing.T) {
-	before := mSnapSlackBytes.Value()
-	s, err := LoadSnapshot(bytes.NewReader(v1FrameWithSlack(t, 3)))
-	if err != nil {
-		t.Fatalf("legacy slack must load: %v", err)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len %d want 1", s.Len())
-	}
-	if got := mSnapSlackBytes.Value() - before; got != 3 {
-		t.Fatalf("store.snapshot.slack_bytes grew by %d, want 3", got)
-	}
+// writeSection appends payload and its CRC32-C, the way every XPC2 section
+// ends.
+func writeSection(b *bytes.Buffer, payload []byte) {
+	b.Write(payload)
+	var tmp [4]byte
+	binary.LittleEndian.PutUint32(tmp[:], crc32.Checksum(payload, crcTable))
+	b.Write(tmp[:])
+}
+
+// v2Header starts an XPC2 stream: magic plus a CRC-valid header claiming
+// count documents.
+func v2Header(count uint64) *bytes.Buffer {
+	var b, sec bytes.Buffer
+	b.WriteString(corpusMagicV2)
+	putUvarint(&sec, 0) // generation
+	putUvarint(&sec, count)
+	writeSection(&b, sec.Bytes())
+	return &b
 }
 
 // v2FrameWithSlack builds a one-document XPC2 stream whose document frame
@@ -117,36 +101,29 @@ func v2FrameWithSlack(t *testing.T, pad int) []byte {
 	if err := xmltree.MustParseString(`<r><c>x</c></r>`).WriteSnapshot(&doc); err != nil {
 		t.Fatal(err)
 	}
-	var b bytes.Buffer
-	writeSection := func(payload []byte) {
-		b.Write(payload)
-		var tmp [4]byte
-		binary.LittleEndian.PutUint32(tmp[:], crc32.Checksum(payload, crcTable))
-		b.Write(tmp[:])
-	}
-	b.WriteString(corpusMagicV2)
+	b := v2Header(1)
 	var sec bytes.Buffer
-	putUvarint(&sec, 0) // generation
-	putUvarint(&sec, 1) // count
-	writeSection(sec.Bytes())
-	sec.Reset()
 	putString(&sec, "padded")
 	putUvarint(&sec, uint64(doc.Len()+pad))
 	sec.Write(doc.Bytes())
 	sec.Write(make([]byte, pad))
-	writeSection(sec.Bytes())
+	writeSection(b, sec.Bytes())
 	sec.Reset()
 	sec.WriteString(corpusFooterMagic)
 	putUvarint(&sec, 1)
 	putUvarint(&sec, 0)
-	writeSection(sec.Bytes())
+	writeSection(b, sec.Bytes())
 	return b.Bytes()
 }
 
 func TestSnapshotV2SlackRejected(t *testing.T) {
+	before := mSnapSlackBytes.Value()
 	_, err := LoadSnapshot(bytes.NewReader(v2FrameWithSlack(t, 2)))
 	if err == nil || !strings.Contains(err.Error(), "slack") {
 		t.Fatalf("want slack rejection, got %v", err)
+	}
+	if got := mSnapSlackBytes.Value() - before; got != 2 {
+		t.Fatalf("store.snapshot.slack_bytes grew by %d, want 2", got)
 	}
 	// Control: the same construction with zero padding loads.
 	if _, err := LoadSnapshot(bytes.NewReader(v2FrameWithSlack(t, 0))); err != nil {
@@ -158,38 +135,21 @@ func TestSnapshotV2SlackRejected(t *testing.T) {
 // are claims; absurd ones must fail fast instead of committing the reader
 // to huge allocations or scans.
 func TestSnapshotHostileLengthClaims(t *testing.T) {
-	// V1: absurd document count.
-	var b bytes.Buffer
-	b.WriteString(corpusMagicV1)
-	putUvarint(&b, maxCorpusDocs+1)
-	if _, err := LoadSnapshot(bytes.NewReader(b.Bytes())); err == nil ||
+	// Absurd document count, CRC-valid so only the bound can reject.
+	if _, err := LoadSnapshot(bytes.NewReader(v2Header(maxCorpusDocs + 1).Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "implausible document count") {
-		t.Fatalf("V1 hostile count: got %v", err)
+		t.Fatalf("hostile count: got %v", err)
 	}
-	// V1: absurd per-document length claim (the regression this release
-	// fixes: it used to flow unchecked into a LimitReader).
-	b.Reset()
-	b.WriteString(corpusMagicV1)
-	putUvarint(&b, 1)
-	putString(&b, "evil")
-	putUvarint(&b, maxDocSnapLen+1)
+	// Absurd per-document length claim in a CRC-valid frame: the bound
+	// must reject it before the reader copies (or allocates toward) it.
+	b := v2Header(1)
+	var sec bytes.Buffer
+	putString(&sec, "evil")
+	putUvarint(&sec, maxDocSnapLen+1)
+	writeSection(b, sec.Bytes())
 	if _, err := LoadSnapshot(bytes.NewReader(b.Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "implausible document length") {
-		t.Fatalf("V1 hostile length: got %v", err)
-	}
-	// V2: absurd document count, CRC-valid so only the bound can reject.
-	b.Reset()
-	b.WriteString(corpusMagicV2)
-	var sec bytes.Buffer
-	putUvarint(&sec, 0)
-	putUvarint(&sec, maxCorpusDocs+1)
-	b.Write(sec.Bytes())
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], crc32.Checksum(sec.Bytes(), crcTable))
-	b.Write(tmp[:])
-	if _, err := LoadSnapshot(bytes.NewReader(b.Bytes())); err == nil ||
-		!strings.Contains(err.Error(), "implausible document count") {
-		t.Fatalf("V2 hostile count: got %v", err)
+		t.Fatalf("hostile length: got %v", err)
 	}
 }
 

@@ -1,5 +1,7 @@
 package syntax
 
+import "sync"
+
 // Ctx is the relevant-context bitset Relev(N) ⊆ {'cn','cp','cs'} of
 // Section 3.1.
 type Ctx uint8
@@ -62,6 +64,24 @@ type Query struct {
 	// location-path evaluation of OPTMINCONTEXT (Algorithm 8), innermost
 	// first.
 	BottomUp []int
+
+	// compiled is the query's compiled evaluation program (internal/plan's
+	// *Program, held as any because syntax cannot import plan), filled once
+	// by Compiled.
+	compiled struct {
+		once sync.Once
+		v    any
+		err  error
+	}
+}
+
+// Compiled returns what compile produced the first time it was called on q.
+// Later calls, from any goroutine, return the same value and error without
+// calling compile again, so the compiled program lives exactly as long as
+// its query.
+func (q *Query) Compiled(compile func(*Query) (any, error)) (any, error) {
+	q.compiled.once.Do(func() { q.compiled.v, q.compiled.err = compile(q) })
+	return q.compiled.v, q.compiled.err
 }
 
 // Compile parses, normalizes and analyzes an XPath 1.0 expression with no

@@ -51,9 +51,9 @@ func (d *Document) WriteSnapshot(w io.Writer) error {
 			labels = append(labels, n.label)
 		}
 	}
-	WriteUvarint(bw, uint64(len(labels)))
+	writeUvarint(bw, uint64(len(labels)))
 	for _, l := range labels {
-		WriteSnapString(bw, l)
+		writeSnapString(bw, l)
 	}
 
 	var walk func(n *Node) error
@@ -62,11 +62,11 @@ func (d *Document) WriteSnapshot(w io.Writer) error {
 			if err := bw.WriteByte(evStart); err != nil {
 				return err
 			}
-			WriteUvarint(bw, uint64(labelIdx[n.label]))
-			WriteUvarint(bw, uint64(len(n.attrs)))
+			writeUvarint(bw, uint64(labelIdx[n.label]))
+			writeUvarint(bw, uint64(len(n.attrs)))
 			for _, a := range n.attrs {
-				WriteSnapString(bw, a.Name)
-				WriteSnapString(bw, a.Value)
+				writeSnapString(bw, a.Name)
+				writeSnapString(bw, a.Value)
 			}
 		}
 		for _, seg := range n.segments {
@@ -78,7 +78,7 @@ func (d *Document) WriteSnapshot(w io.Writer) error {
 				if err := bw.WriteByte(evText); err != nil {
 					return err
 				}
-				WriteSnapString(bw, seg.text)
+				writeSnapString(bw, seg.text)
 			}
 		}
 		if !n.IsRoot() {
@@ -146,7 +146,7 @@ func loadSnapshotFrom(br *bufio.Reader, l Limits) (*Document, error) {
 	}
 	labels := make([]string, 0, min(nLabels, 4096))
 	for i := uint64(0); i < nLabels; i++ {
-		s, err := ReadSnapString(br)
+		s, err := readSnapString(br)
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: snapshot: label %d: %w", i, err)
 		}
@@ -179,10 +179,10 @@ func loadSnapshotFrom(br *bufio.Reader, l Limits) (*Document, error) {
 			attrs := make([]Attr, 0, min(nAttrs, 64))
 			for i := uint64(0); i < nAttrs; i++ {
 				var a Attr
-				if a.Name, err = ReadSnapString(br); err != nil {
+				if a.Name, err = readSnapString(br); err != nil {
 					return nil, err
 				}
-				if a.Value, err = ReadSnapString(br); err != nil {
+				if a.Value, err = readSnapString(br); err != nil {
 					return nil, err
 				}
 				attrs = append(attrs, a)
@@ -196,7 +196,7 @@ func loadSnapshotFrom(br *bufio.Reader, l Limits) (*Document, error) {
 				return nil, err
 			}
 		case evText:
-			s, err := ReadSnapString(br)
+			s, err := readSnapString(br)
 			if err != nil {
 				return nil, err
 			}
@@ -214,26 +214,21 @@ func loadSnapshotFrom(br *bufio.Reader, l Limits) (*Document, error) {
 	}
 }
 
-// WriteUvarint, WriteSnapString and ReadSnapString are the shared framing
-// primitives of the snapshot formats — the per-document "XPT1" stream here
-// and the corpus "XPC1" stream of internal/store both use them, so the two
-// formats cannot drift apart on varint encoding or sanity limits.
-
-// WriteUvarint appends an unsigned varint.
-func WriteUvarint(w *bufio.Writer, v uint64) {
+// writeUvarint appends an unsigned varint.
+func writeUvarint(w *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
 	// bufio.Writer.Write never returns an error until Flush.
 	_, _ = w.Write(buf[:n])
 }
 
-// WriteSnapString appends a length-prefixed string.
-func WriteSnapString(w *bufio.Writer, s string) {
-	WriteUvarint(w, uint64(len(s)))
+// writeSnapString appends a length-prefixed string.
+func writeSnapString(w *bufio.Writer, s string) {
+	writeUvarint(w, uint64(len(s)))
 	_, _ = w.WriteString(s)
 }
 
-// ReadSnapString reads a length-prefixed string, rejecting implausible
+// readSnapString reads a length-prefixed string, rejecting implausible
 // lengths (the cap admits large text segments; callers with tighter
 // domains — e.g. document IDs — validate at write time).
 //
@@ -241,7 +236,7 @@ func WriteSnapString(w *bufio.Writer, s string) {
 // grows with the bytes actually read, so a truncated stream declaring a
 // gigabyte string fails with an io error after at most one chunk's
 // allocation instead of committing the claimed size up front.
-func ReadSnapString(r *bufio.Reader) (string, error) {
+func readSnapString(r *bufio.Reader) (string, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", err

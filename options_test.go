@@ -160,6 +160,19 @@ func TestEngineNameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEngineResolved: auto resolves to the paper's combined processor, and
+// every selectable engine to itself.
+func TestEngineResolved(t *testing.T) {
+	if got := EngineAuto.Resolved(); got != EngineOptMinContext {
+		t.Errorf("EngineAuto.Resolved() = %v, want optmincontext", got)
+	}
+	for _, e := range Engines() {
+		if got := e.Resolved(); got != e {
+			t.Errorf("%v.Resolved() = %v", e, got)
+		}
+	}
+}
+
 // MustCompileDoc parses a document or fails the test.
 func MustCompileDoc(t *testing.T, xml string) *Document {
 	t.Helper()

@@ -64,8 +64,8 @@ const (
 	EngineNaive
 	// EngineCompiled compiles the query to a flat register-VM program
 	// (internal/plan): fused set-at-a-time step opcodes, satisfaction-set
-	// predicate filters, static position() = k specialization, and a
-	// concurrency-safe compiled-plan cache.
+	// predicate filters and static position() = k specialization. The
+	// program is compiled once per Query and kept on it.
 	EngineCompiled
 )
 
@@ -121,14 +121,23 @@ func Engines() []Engine {
 	return out
 }
 
-// compiledEngine is the process-wide compiled engine: shared so its plan
-// cache and VM pool survive across evaluations (plan.Engine is safe for
-// concurrent use).
+// compiledEngine is the process-wide compiled engine: shared so its VM pool
+// survives across evaluations (plan.Engine is safe for concurrent use).
 var compiledEngine = plan.New()
 
+// Resolved returns the engine that evaluates for e: EngineAuto resolves to
+// EngineOptMinContext, the paper's combined processor, and every other
+// engine to itself. It is the one place that decides what "auto" means.
+func (e Engine) Resolved() Engine {
+	if e == EngineAuto {
+		return EngineOptMinContext
+	}
+	return e
+}
+
 func (e Engine) impl() engine.Engine {
-	switch e {
-	case EngineAuto, EngineOptMinContext:
+	switch e.Resolved() {
+	case EngineOptMinContext:
 		return core.NewOptMinContext()
 	case EngineMinContext:
 		return core.NewMinContext()
@@ -315,15 +324,15 @@ func MustCompile(src string) *Query {
 	return q
 }
 
-// queryCache backs CompileCached: a concurrency-safe compiled-plan cache
-// keyed by query source text.
+// queryCache backs CompileCached: the process-wide source-keyed cache of
+// analyzed queries, each carrying its compiled program.
 var queryCache = plan.NewSourceCache(1024)
 
 // CompileCached is Compile backed by a process-wide cache keyed by the
 // query source: repeated traffic for the same expression skips lexing,
 // parsing, normalization, analysis and plan compilation entirely, and
-// EngineCompiled evaluations of the returned query reuse its precompiled
-// instruction program. Sources that fail to compile enter a bounded
+// EngineCompiled evaluations of the returned query run the instruction
+// program compiled on its first miss. Sources that fail to compile enter a bounded
 // negative cache, so repeated traffic for an invalid expression is rejected
 // without re-parsing. Queries needing variable bindings must use
 // CompileWithVars (bindings are substituted into the tree, so source text
@@ -340,12 +349,11 @@ func CompileCached(src string) (*Query, error) {
 // rejections served from the negative cache. The HTTP front-end uses it to
 // attribute per-request cache behavior without racing on counter deltas.
 func CompileCachedTraced(src string, tr Tracer) (q *Query, hit bool, err error) {
-	e, hit, err := queryCache.GetInfo(src, tr)
+	sq, hit, err := queryCache.Get(src, tr)
 	if err != nil {
 		return nil, hit, err
 	}
-	compiledEngine.Prime(e.Query, e.Prog)
-	return &Query{q: e.Query}, hit, nil
+	return &Query{q: sq}, hit, nil
 }
 
 // QueryCacheStats is a point-in-time view of the CompileCached source
