@@ -15,9 +15,11 @@ import (
 	"repro/internal/corexpath"
 	"repro/internal/engine"
 	"repro/internal/naive"
+	"repro/internal/plan"
 	"repro/internal/syntax"
 	"repro/internal/topdown"
 	"repro/internal/workload"
+	"repro/internal/xmltree"
 )
 
 // fitExponent returns the slope of the least-squares line through
@@ -193,6 +195,63 @@ func TestClaimNaiveExponential(t *testing.T) {
 	ratio := contexts(10) / contexts(8)
 	if ratio < 3.5 || ratio > 4.5 {
 		t.Errorf("work ratio over two steps = %.2f, want ≈ 4 (doubling per step)", ratio)
+	}
+}
+
+// TestClaimNestedPredicatesPolynomial is the exponent gate of the nested
+// predicate families (workload.NestedCountQuery on workload.Pairs): each
+// polynomial engine's ContextsEvaluated grows at most quadratically in |D|
+// at every nesting depth k, and the exponent does not grow with k. Before
+// the compiled VM memoized per-node subexpressions (OpMemo) it re-ran inner
+// predicate blocks per outer candidate and grew as |D|^(k+1): 3 188 666
+// contexts at n = 32, k = 3.
+func TestClaimNestedPredicatesPolynomial(t *testing.T) {
+	ns := []int{8, 16, 32, 64}
+	engines := []engine.Engine{plan.New(), core.NewOptMinContext(), core.NewMinContext()}
+	docs := make([]*xmltree.Document, len(ns))
+	xs := make([]float64, len(ns))
+	for i, n := range ns {
+		docs[i] = workload.Pairs(n)
+		xs[i] = float64(docs[i].NumNodes())
+	}
+	for _, positional := range []bool{false, true} {
+		family := "plain"
+		if positional {
+			family = "positional"
+		}
+		for _, eng := range engines {
+			t.Run(family+"/"+eng.Name(), func(t *testing.T) {
+				slopes := make([]float64, 5)
+				for k := 1; k <= 4; k++ {
+					q, err := syntax.Compile(workload.NestedCountQuery(k, positional))
+					if err != nil {
+						t.Fatal(err)
+					}
+					ys := make([]float64, len(ns))
+					for i, doc := range docs {
+						_, st, err := eng.Evaluate(q, doc, engine.RootContext(doc))
+						if err != nil {
+							t.Fatalf("k=%d n=%d: %v", k, ns[i], err)
+						}
+						ys[i] = float64(st.ContextsEvaluated)
+						if eng.Name() == "compiled" && k == 3 && ns[i] == 32 {
+							t.Logf("n=32 k=3: %d contexts", st.ContextsEvaluated)
+							if st.ContextsEvaluated > 20000 {
+								t.Errorf("n=32 k=3: %d contexts, want ≤ 20 000", st.ContextsEvaluated)
+							}
+						}
+					}
+					slopes[k] = fitExponent(xs, ys)
+					if slopes[k] > 2.2 {
+						t.Errorf("k=%d: contexts grow as |D|^%.2f, want ≤ 2.2 (contexts %v)", k, slopes[k], ys)
+					}
+				}
+				t.Logf("|D|-exponents k=1..4: %.2f %.2f %.2f %.2f", slopes[1], slopes[2], slopes[3], slopes[4])
+				if d := slopes[4] - slopes[1]; d > 0.2 {
+					t.Errorf("exponent grows with nesting: k=4 %.2f vs k=1 %.2f", slopes[4], slopes[1])
+				}
+			})
+		}
 	}
 }
 

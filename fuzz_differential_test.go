@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/fuzzgen"
+	"repro/internal/plan"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -95,6 +96,53 @@ func TestDifferentialFuzzAxisChains(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("disagreement at axis-chain pair %d (suite seed %d): %s", i, fuzzSeed+3, src)
 		}
+	}
+}
+
+// TestDifferentialFuzzNestedAggregates holds the compiled VM's per-node memo
+// tables to OPTMINCONTEXT, MINCONTEXT and topdown on predicates that nest
+// count, sum, string-length and boolean up to four levels deep, positional
+// and position-independent, from the root and from id contexts. bottomup
+// and naive sit out: their cubic tables and exponential recursion cannot
+// afford depth 4.
+func TestDifferentialFuzzNestedAggregates(t *testing.T) {
+	rng := rand.New(rand.NewSource(fuzzSeed + 5))
+	engines := []Engine{EngineOptMinContext, EngineMinContext, EngineCompiled}
+	var doc *Document
+	var ids []string
+	memo, nonEmpty := 0, 0
+	pairs := fuzzPairs()
+	for i := 0; i < pairs; i++ {
+		if i%10 == 0 {
+			tree := fuzzgen.Document(rng, 20+rng.Intn(40))
+			doc = WrapTree(tree)
+			ids = ids[:0]
+			for _, n := range tree.Nodes() {
+				if id, ok := n.Attr("id"); ok {
+					ids = append(ids, id)
+				}
+			}
+		}
+		src := fuzzgen.NestedAggregateQuery(rng, 1+rng.Intn(4))
+		agreeWith(t, doc, src, "", engines)
+		if len(ids) > 0 {
+			agreeWith(t, doc, src, ids[rng.Intn(len(ids))], engines)
+		}
+		if t.Failed() {
+			t.Fatalf("disagreement at nested-aggregate pair %d (suite seed %d): %s", i, fuzzSeed+5, src)
+		}
+		q := MustCompile(src)
+		if p, err := plan.ProgramOf(q.q); err == nil && p.NumMemo > 0 {
+			memo++
+		}
+		if res, err := q.Evaluate(doc); err == nil && len(res.Nodes()) > 0 {
+			nonEmpty++
+		}
+	}
+	// Guard the diet against a silent collapse of the generator.
+	t.Logf("%d pairs: %d compile to memo programs, %d select nodes", pairs, memo, nonEmpty)
+	if memo < pairs/2 || nonEmpty < pairs/4 {
+		t.Errorf("%d pairs: only %d memo programs and %d non-empty answers", pairs, memo, nonEmpty)
 	}
 }
 

@@ -120,6 +120,49 @@ func AxisChainQuery(rng *rand.Rand) string {
 	return b.String()
 }
 
+// NestedAggregateQuery generates /descendant::t[P] where P nests depth
+// aggregates (depth ≥ 1): each level applies count, sum, string-length or
+// boolean to a relative step whose predicate is the next level, and the
+// innermost step's predicate is a path existence test, a value comparison or
+// position() != last(). The count, sum and string-length levels compare
+// against a constant or, in the positional variant, against position() or
+// last(). No satisfaction set replaces these predicates, so an evaluator
+// that re-runs an inner predicate for every outer candidate grows as
+// |D|^(depth+1); the compiled VM's per-node memo tables are what keeps it
+// polynomial, and this generator is their differential diet.
+func NestedAggregateQuery(rng *rand.Rand, depth int) string {
+	return "/descendant::" + nodeTests[rng.Intn(len(nodeTests))] + "[" + genAggregate(rng, depth) + "]"
+}
+
+// genAggregate emits one level of NestedAggregateQuery's predicate.
+func genAggregate(rng *rand.Rand, depth int) string {
+	step := axes[rng.Intn(len(axes))] + "::" + nodeTests[rng.Intn(len(nodeTests))]
+	if depth > 1 {
+		step += "[" + genAggregate(rng, depth-1) + "]"
+	} else {
+		step += []string{"[child::*]", "[. = 100]", "[position() != last()]", ""}[rng.Intn(4)]
+	}
+	var agg string
+	switch rng.Intn(4) {
+	case 0:
+		agg = "count(" + step + ")"
+	case 1:
+		agg = "sum(" + step + ")"
+	case 2:
+		agg = "string-length(string(" + step + "))"
+	default:
+		return "boolean(" + step + ")"
+	}
+	rhs := fmt.Sprint(rng.Intn(4))
+	switch rng.Intn(4) {
+	case 0:
+		rhs = "position()"
+	case 1:
+		rhs = "last()"
+	}
+	return agg + " " + relOp(rng) + " " + rhs
+}
+
 // genPath emits a location path; absolute paths may carry filter heads.
 func genPath(rng *rand.Rand, depth int, cfg Config, absolute bool) string {
 	var b strings.Builder

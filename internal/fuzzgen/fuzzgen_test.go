@@ -119,3 +119,39 @@ func TestAxisChainQueriesCompileAndCoverAxes(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedAggregateQueries: generated nested-aggregate queries compile,
+// carry one predicate-bearing step per level, and come in both positional
+// and position-independent variants.
+func TestNestedAggregateQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var positional, plain int
+	for i := 0; i < 400; i++ {
+		depth := 1 + i%4
+		src := NestedAggregateQuery(rng, depth)
+		q, err := syntax.Compile(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		withPreds, needsPos := 0, false
+		for _, e := range q.Nodes {
+			if s, ok := e.(*syntax.Step); ok && len(s.Preds) > 0 {
+				withPreds++
+				for _, p := range s.Preds {
+					needsPos = needsPos || q.RelevOf(p).NeedsPosition()
+				}
+			}
+		}
+		if withPreds < depth {
+			t.Fatalf("%q: %d predicate-bearing steps at depth %d", src, withPreds, depth)
+		}
+		if needsPos {
+			positional++
+		} else {
+			plain++
+		}
+	}
+	if positional == 0 || plain == 0 {
+		t.Errorf("%d positional and %d position-independent queries, want both", positional, plain)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/syntax"
 	"repro/internal/trace"
 	"repro/internal/workload"
+	"repro/internal/xmltree"
 )
 
 // TestWarmEvaluateAllocs pins the steady-state allocation count of compiled
@@ -19,7 +20,8 @@ import (
 //     the result-detach Clone (one Set header + one word slice) that hands
 //     the caller a set independent of the machine's reusable arena;
 //   - a scalar query costs exactly 0: registers, arena sets, candidate
-//     buffers and axis-kernel scratch are all pooled with the machine.
+//     buffers, axis-kernel scratch and memo tables are all pooled with the
+//     machine.
 //
 // If an intentional change moves these constants, update them here together
 // with the ownership rules documented in the README.
@@ -27,21 +29,25 @@ func TestWarmEvaluateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; exact pins run in the non-race job")
 	}
-	doc := workload.Scaled(400)
+	scaled := workload.Scaled(400)
 	e := New()
-	ctx := engine.RootContext(doc)
 	cases := []struct {
 		src  string
+		doc  *xmltree.Document
 		want float64
 	}{
-		{"/descendant::b[child::d]/child::c", 2}, // fused steps, sat-set predicate
-		{"//b[.//d]//c", 2},                      // descendant-heavy chain
-		{"/descendant::*/descendant::*[position() > last()*0.5 or self::* = 100]", 2}, // positional loop
-		{"count(//b)", 0},   // scalar result: nothing to detach
-		{"sum(//b/d)", 0},   // scalar over a two-step path
-		{"boolean(//e)", 0}, // satisfaction-set program
+		{"/descendant::b[child::d]/child::c", scaled, 2},                                      // fused steps, sat-set predicate
+		{"//b[.//d]//c", scaled, 2},                                                           // descendant-heavy chain
+		{"/descendant::*/descendant::*[position() > last()*0.5 or self::* = 100]", scaled, 2}, // positional loop
+		{"count(//b)", scaled, 0},                                                             // scalar result: nothing to detach
+		{"sum(//b/d)", scaled, 0},                                                             // scalar over a two-step path
+		{"boolean(//e)", scaled, 0},                                                           // satisfaction-set program
+		{workload.NestedCountQuery(2, false), workload.Pairs(32), 2},                          // memoized predicates
+		{workload.NestedCountQuery(2, true), workload.Pairs(32), 2},                           // OpMemo under position()
 	}
 	for _, c := range cases {
+		doc := c.doc
+		ctx := engine.RootContext(doc)
 		q, err := syntax.Compile(c.src)
 		if err != nil {
 			t.Fatalf("compile %q: %v", c.src, err)

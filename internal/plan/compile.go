@@ -11,10 +11,12 @@ import (
 
 // Compile lowers a normalized query into a flat instruction program. The
 // compiler performs constant folding, dead-branch elimination, static
-// specialization of position() = k / position() = last() predicates, and
+// specialization of position() = k / position() = last() predicates,
 // satisfaction-set compilation of eligible position-independent predicates
-// (see sat.go); everything the six interpreting engines re-derive per
-// evaluation happens here exactly once.
+// (see sat.go), and per-node memoization of the scalar subexpressions that
+// nested predicate blocks would otherwise recompute (emitMemo); everything
+// the six interpreting engines re-derive per evaluation happens here
+// exactly once.
 func Compile(q *syntax.Query) (p *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -41,6 +43,11 @@ type compileError string
 type blockBuf struct {
 	id   int
 	code []Instr
+	// memo: the block can run more than once for the same node in one
+	// evaluation, so its maximal memoizable subexpressions go behind OpMemo.
+	memo bool
+	// slot is the block's own memo slot, or -1.
+	slot int
 }
 
 type compiler struct {
@@ -49,6 +56,7 @@ type compiler struct {
 	consts []values.Value
 	tests  []syntax.NodeTest
 	nreg   int
+	nmemo  int
 	// satHoist is the main block: satisfaction sets for subexpressions of
 	// per-candidate predicate blocks are hoisted here, so they are computed
 	// once per evaluation instead of once per candidate (the compile-time
@@ -61,7 +69,7 @@ func (c *compiler) fail(format string, args ...any) {
 }
 
 func (c *compiler) newBlock() *blockBuf {
-	b := &blockBuf{id: len(c.blocks)}
+	b := &blockBuf{id: len(c.blocks), slot: -1}
 	c.blocks = append(c.blocks, b)
 	return b
 }
@@ -100,15 +108,18 @@ func (c *compiler) testIdx(t syntax.NodeTest) int {
 // absolutizing jump targets (jumps never cross block boundaries).
 func (c *compiler) link() *Program {
 	p := &Program{
-		Source:  c.q.Source,
-		Consts:  c.consts,
-		Tests:   c.tests,
-		NumRegs: c.nreg,
-		Blocks:  make([]int, len(c.blocks)),
+		Source:   c.q.Source,
+		Consts:   c.consts,
+		Tests:    c.tests,
+		NumRegs:  c.nreg,
+		NumMemo:  c.nmemo,
+		Blocks:   make([]int, len(c.blocks)),
+		MemoSlot: make([]int, len(c.blocks)),
 	}
 	for i, b := range c.blocks {
 		start := len(p.Code)
 		p.Blocks[i] = start
+		p.MemoSlot[i] = b.slot
 		for _, in := range b.code {
 			switch in.Op {
 			case OpJump, OpJumpIfTrue, OpJumpIfFalse:
@@ -133,6 +144,45 @@ func (c *compiler) compileExpr(b *blockBuf, e syntax.Expr) int {
 	if v, ok := fold(e); ok {
 		return c.emitConst(b, v)
 	}
+	if b.memo && c.memoizable(e) {
+		return c.emitMemo(b, e)
+	}
+	return c.lower(b, e)
+}
+
+// memoizable reports whether e's value can be kept per context node for a
+// whole evaluation: it is scalar (node sets live in the recycled arena), it
+// depends on the context node only (Relev ⊆ {cn}, §3.1), it is not the same
+// at every node (ctxFree), and it contains a location path, so recomputing
+// it costs more than a table lookup.
+func (c *compiler) memoizable(e syntax.Expr) bool {
+	return e.ResultType() != syntax.TypeNodeSet && !c.q.Relev[e.ID()].NeedsPosition() &&
+		!ctxFree(e) && hasPath(e)
+}
+
+// emitMemo compiles e into its own memoized block and returns the register
+// OpMemo loads.
+func (c *compiler) emitMemo(b *blockBuf, e syntax.Expr) int {
+	nb := c.memoBlock(e)
+	dst := c.newReg()
+	c.emit(b, Instr{Op: OpMemo, Dst: dst, B: nb})
+	return dst
+}
+
+// memoBlock compiles e into a new block with a fresh memo slot. e's
+// subexpressions compile into the block unwrapped, so each memoized
+// subexpression is maximal; predicate blocks nested in it memoize again,
+// because they run per candidate.
+func (c *compiler) memoBlock(e syntax.Expr) int {
+	nb := c.newBlock()
+	nb.slot = c.nmemo
+	c.nmemo++
+	c.emit(nb, Instr{Op: OpReturn, A: c.lower(nb, e)})
+	return nb.id
+}
+
+// lower emits the instructions of a non-constant expression.
+func (c *compiler) lower(b *blockBuf, e syntax.Expr) int {
 	switch e := e.(type) {
 	case *syntax.Negate:
 		r := c.compileExpr(b, e.E)
@@ -148,7 +198,7 @@ func (c *compiler) compileExpr(b *blockBuf, e syntax.Expr) int {
 	case *syntax.Path:
 		return c.compilePath(b, e)
 	}
-	c.fail("compileExpr: unhandled expression %T", e)
+	c.fail("lower: unhandled expression %T", e)
 	return 0
 }
 
@@ -274,7 +324,7 @@ func (c *compiler) compilePath(b *blockBuf, p *syntax.Path) int {
 	case p.Filter != nil:
 		cur = c.compileExpr(b, p.Filter)
 		if len(p.FPreds) > 0 {
-			chain, empty := c.predChain(p.FPreds)
+			chain, empty := c.predChain(b, p.FPreds)
 			if empty {
 				dst := c.newReg()
 				c.emit(b, Instr{Op: OpEmptySet, Dst: dst})
@@ -304,13 +354,14 @@ type predClass struct {
 	k     int  // PredIndex
 	reg   int  // PredSat / PredGate
 	block int  // PredBlock
-	pos   bool // PredBlock only: predicate depends on cp/cs
 }
 
 // classifyPred resolves one predicate as statically as possible. Support
 // code (satisfaction sets, hoisted uniform gate values) is emitted into the
-// main block c.satHoist, never into the block being compiled.
-func (c *compiler) classifyPred(pred syntax.Expr) predClass {
+// main block c.satHoist, never into the block being compiled. repeats says
+// whether a predicate block would run more than once for the same node in
+// one evaluation (see repeats in compileStep); such a block memoizes.
+func (c *compiler) classifyPred(pred syntax.Expr, repeats bool) predClass {
 	if v, ok := fold(pred); ok {
 		if values.ToBool(v) {
 			return predClass{drop: true}
@@ -326,8 +377,7 @@ func (c *compiler) classifyPred(pred syntax.Expr) predClass {
 		}
 		return predClass{kind: PredIndex, k: k}
 	}
-	needsPos := c.q.Relev[pred.ID()].NeedsPosition()
-	if !needsPos {
+	if !c.q.Relev[pred.ID()].NeedsPosition() {
 		// Gate values and satisfaction sets are context-independent, so
 		// they are hoisted into the main block: computed once per
 		// evaluation even when this step sits inside a per-candidate
@@ -342,24 +392,31 @@ func (c *compiler) classifyPred(pred syntax.Expr) predClass {
 			return predClass{kind: PredSat, reg: reg}
 		}
 	}
-	block := c.compileBlock(pred)
-	return predClass{kind: PredBlock, block: block, pos: needsPos}
+	block := c.compileBlock(pred, repeats)
+	return predClass{kind: PredBlock, block: block}
 }
 
 // compileBlock compiles an expression as a standalone block evaluated per
-// context; returns the block index.
-func (c *compiler) compileBlock(e syntax.Expr) int {
+// context; returns the block index. A memoizable predicate of a repeating
+// block is memoized whole, so a repeated candidate costs one table lookup
+// and no block entry.
+func (c *compiler) compileBlock(e syntax.Expr, memo bool) int {
+	if memo && c.memoizable(e) {
+		return c.memoBlock(e)
+	}
 	nb := c.newBlock()
+	nb.memo = memo
 	r := c.compileExpr(nb, e)
 	c.emit(nb, Instr{Op: OpReturn, A: r})
 	return nb.id
 }
 
-// predChain classifies a predicate list into a PredRef chain. empty reports
-// that some predicate is constant-false (the result is the empty set).
-func (c *compiler) predChain(preds []syntax.Expr) (chain []PredRef, empty bool) {
+// predChain classifies the filter predicates of a path compiled into block
+// b into a PredRef chain. empty reports that some predicate is
+// constant-false (the result is the empty set).
+func (c *compiler) predChain(b *blockBuf, preds []syntax.Expr) (chain []PredRef, empty bool) {
 	for _, pred := range preds {
-		pc := c.classifyPred(pred)
+		pc := c.classifyPred(pred, b != c.satHoist)
 		switch {
 		case pc.drop:
 			continue
@@ -379,10 +436,18 @@ func (c *compiler) predChain(preds []syntax.Expr) (chain []PredRef, empty bool) 
 // predicates specialized to direct index selection.
 func (c *compiler) compileStep(b *blockBuf, s *syntax.Step, src int) int {
 	axisI, testI := int(s.Axis), c.testIdx(s.Test)
-	classes := make([]predClass, 0, len(s.Preds))
+	// A predicate that needs cp/cs (position() = k and last() included)
+	// makes the step positional. The step's predicate blocks repeat per node
+	// when b itself runs per candidate, or when the step is positional:
+	// OpStepSel's candidate lists of different context nodes overlap.
 	positional := false
 	for _, pred := range s.Preds {
-		pc := c.classifyPred(pred)
+		positional = positional || c.q.Relev[pred.ID()].NeedsPosition()
+	}
+	repeats := b != c.satHoist || positional
+	classes := make([]predClass, 0, len(s.Preds))
+	for _, pred := range s.Preds {
+		pc := c.classifyPred(pred, repeats)
 		if pc.empty {
 			dst := c.newReg()
 			c.emit(b, Instr{Op: OpEmptySet, Dst: dst})
@@ -390,9 +455,6 @@ func (c *compiler) compileStep(b *blockBuf, s *syntax.Step, src int) int {
 		}
 		if pc.drop {
 			continue
-		}
-		if pc.kind == PredIndex || pc.kind == PredLast || (pc.kind == PredBlock && pc.pos) {
-			positional = true
 		}
 		classes = append(classes, pc)
 	}
@@ -504,6 +566,25 @@ func ctxFree(e syntax.Expr) bool {
 			return ctxFree(e.Filter)
 		}
 		return e.Abs
+	}
+	return false
+}
+
+// hasPath reports whether the expression contains a location path.
+func hasPath(e syntax.Expr) bool {
+	switch e := e.(type) {
+	case *syntax.Path, *syntax.Union:
+		return true
+	case *syntax.Negate:
+		return hasPath(e.E)
+	case *syntax.Binary:
+		return hasPath(e.L) || hasPath(e.R)
+	case *syntax.Call:
+		for _, a := range e.Args {
+			if hasPath(a) {
+				return true
+			}
+		}
 	}
 	return false
 }

@@ -23,7 +23,13 @@
 //   - context-free scalar subexpressions are constant-folded at compile
 //     time, and and/or branches decided by a folded operand are eliminated;
 //   - everything else falls back to generic predicate blocks evaluated per
-//     candidate, so the engine covers full XPath 1.0, not just a fragment.
+//     candidate, so the engine covers full XPath 1.0, not just a fragment;
+//   - inside blocks that can run more than once for the same node, each
+//     maximal scalar subexpression with Relev ⊆ {cn} that contains a path,
+//     whole predicates included, becomes a memoized block that runs at most
+//     once per node per evaluation — the paper's context-value table for
+//     Relev = {cn} (§3.1) — so each nesting level adds block entries
+//     instead of multiplying them.
 //
 // A Program is a single flat instruction array; predicate subexpressions are
 // code blocks (entry points into the array) invoked by the step and filter
@@ -120,6 +126,11 @@ const (
 	// form of a predicate subexpression computed wholesale in the main
 	// block.
 	OpSatHas
+	// OpMemo: R[Dst] = the value of memoized block B at cn, which runs B in
+	// the current frame only on the first visit of cn in this evaluation —
+	// the per-node context-value table of §3.1 for a scalar subexpression
+	// with Relev ⊆ {cn} inside a block that runs repeatedly.
+	OpMemo
 	// OpReturn: finish the current block with R[A] as its result.
 	OpReturn
 )
@@ -134,7 +145,7 @@ var opNames = [...]string{
 	OpScanCmp:  "scancmp",
 	OpUnionSet: "union", OpIntersect: "intersect", OpComplement: "complement",
 	OpBoolGate: "boolgate", OpFilterSet: "filterset", OpFilterList: "filterlist",
-	OpStepSel: "stepsel", OpSatHas: "sathas", OpReturn: "return",
+	OpStepSel: "stepsel", OpSatHas: "sathas", OpMemo: "memo", OpReturn: "return",
 }
 
 // String returns the opcode's mnemonic.
@@ -219,6 +230,13 @@ type Program struct {
 	Tests []syntax.NodeTest
 	// NumRegs is the size of the register file.
 	NumRegs int
+	// MemoSlot[b] is block b's memo slot, or -1 when b is not memoized. A
+	// memoized block computes a scalar with Relev ⊆ {cn} and runs at most
+	// once per node per evaluation, whether OpMemo or a predicate filter
+	// enters it.
+	MemoSlot []int
+	// NumMemo is the number of memoized blocks.
+	NumMemo int
 }
 
 // blockEnd returns the pc one past block b's OpReturn.
@@ -253,9 +271,12 @@ func (p *Program) DisasmAnnotated(annot func(block, pc int) string) string {
 	block := 0
 	for pc, in := range p.Code {
 		for block < len(p.Blocks) && p.Blocks[block] == pc {
-			if block == 0 {
+			switch {
+			case block == 0:
 				fmt.Fprintf(&b, "b%d:  (main)\n", block)
-			} else {
+			case p.MemoSlot[block] >= 0:
+				fmt.Fprintf(&b, "b%d:  (memo m%d)\n", block, p.MemoSlot[block])
+			default:
 				fmt.Fprintf(&b, "b%d:\n", block)
 			}
 			block++
@@ -344,6 +365,8 @@ func (p *Program) disasmInstr(in Instr) string {
 		return fmt.Sprintf("stepsel    %s = %s::%s(%s)%s", reg(in.Dst), axis(in.A), tst(in.B), reg(in.C), preds(in.Preds))
 	case OpSatHas:
 		return fmt.Sprintf("sathas     %s = cn ∈ %s", reg(in.Dst), reg(in.A))
+	case OpMemo:
+		return fmt.Sprintf("memo       %s = m%d[cn] ?: b%d", reg(in.Dst), p.MemoSlot[in.B], in.B)
 	case OpReturn:
 		return fmt.Sprintf("return     %s", reg(in.A))
 	}

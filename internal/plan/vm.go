@@ -38,6 +38,14 @@ func (e *Engine) Evaluate(q *syntax.Query, doc *xmltree.Document, ctx engine.Con
 	if m == nil {
 		m = &machine{}
 	}
+	v, st, err := m.run(prog, doc, ctx)
+	e.pool.Put(m)
+	return v, st, err
+}
+
+// run evaluates one program on the machine and leaves the machine ready for
+// the pool.
+func (m *machine) run(prog *Program, doc *xmltree.Document, ctx engine.Context) (values.Value, engine.Stats, error) {
 	m.reset(prog, doc)
 	m.tr = ctx.Tracer
 	m.bud = ctx.Budget
@@ -48,7 +56,6 @@ func (e *Engine) Evaluate(q *syntax.Query, doc *xmltree.Document, ctx engine.Con
 		v = values.NodeSet(v.Set.Clone())
 	}
 	m.prog, m.doc, m.tr, m.bud = nil, nil, nil, nil
-	e.pool.Put(m)
 	return v, st, err
 }
 
@@ -75,15 +82,19 @@ type machine struct {
 	// inverse-step instruction of the program; it rebinds itself when the
 	// machine is reset onto a different document.
 	sc axes.Scratch
+	// memo holds the values of the program's memoized blocks at the nodes
+	// they ran on in the current evaluation.
+	memo memoTable
 	// tr, when non-nil, receives one KindOpcode span per executed
 	// instruction. The nil case is the hot path: one predicted branch per
 	// instruction and nothing else (pinned by TestWarmEvaluateAllocs).
 	tr trace.Tracer
-	// bud, when non-nil, is charged one step per block entry — the main
-	// block once per evaluation, predicate blocks once per candidate — so a
-	// positional predicate loop observes cancellation per candidate. The nil
-	// case is one predicted branch (pinned by TestWarmEvaluateAllocs with a
-	// live budget too).
+	// bud, when non-nil, is charged per node touched: |D| per whole-document
+	// instruction (OpStep over a set, OpStepInv, OpScanCmp, OpComplement),
+	// the candidate count + 1 per single-node step and per OpStepSel context,
+	// and one per block entry, so a positional predicate loop observes
+	// cancellation per candidate. The nil case is one predicted branch per
+	// site (pinned by TestWarmEvaluateAllocs with a live budget too).
 	bud *budget.Budget
 }
 
@@ -108,7 +119,9 @@ func (m *machine) reset(p *Program, doc *xmltree.Document) {
 		m.arena = nil
 		m.bufs = nil
 		m.sc.Release()
+		m.memo = memoTable{}
 	}
+	m.memo.reset()
 	m.arenaN = 0
 	m.st = engine.Stats{}
 }
@@ -142,14 +155,22 @@ func (m *machine) getBuf() []*xmltree.Node {
 func (m *machine) putBuf(b []*xmltree.Node) { m.bufs = append(m.bufs, b[:0]) }
 
 // runBlock executes one block in the context 〈cn, cp, cs〉 (cp/cs 0 = the
-// wildcard "∗") and returns its result value.
+// wildcard "∗") and returns its result value. A memoized block runs at most
+// once per node per evaluation: later entries read its value from the memo
+// table, which only OpReturn fills, so a block that fails stores nothing.
+// A memoized run releases its arena sets, because its value is never a
+// node set.
 //
 //xpathlint:noalloc
 func (m *machine) runBlock(block int, cn *xmltree.Node, cp, cs int) (values.Value, error) {
-	if b := m.bud; b != nil {
-		if err := b.Step(1); err != nil {
-			return values.Value{}, err
+	slot, mark := m.prog.MemoSlot[block], m.arenaN
+	if slot >= 0 {
+		if v, ok := m.memo.get(memoKey(slot, cn.Pre())); ok {
+			return v, nil
 		}
+	}
+	if err := m.charge(1); err != nil {
+		return values.Value{}, err
 	}
 	m.st.ContextsEvaluated++
 	code := m.prog.Code
@@ -208,8 +229,15 @@ func (m *machine) runBlock(block int, cn *xmltree.Node, cp, cs int) (values.Valu
 				pc = in.A - 1
 			}
 		case OpStep:
-			R[in.Dst] = values.NodeSet(m.step(in, R[in.C].Set))
+			s, err := m.step(in, R[in.C].Set)
+			if err != nil {
+				return values.Value{}, err
+			}
+			R[in.Dst] = values.NodeSet(s)
 		case OpStepInv:
+			if err := m.charge(m.doc.NumNodes()); err != nil {
+				return values.Value{}, err
+			}
 			m.st.AxisCalls++
 			s := m.newSet()
 			axes.ApplyInverseInto(s, axes.Axis(in.A), R[in.C].Set, &m.sc)
@@ -226,6 +254,9 @@ func (m *machine) runBlock(block int, cn *xmltree.Node, cp, cs int) (values.Valu
 		case OpTestSet:
 			R[in.Dst] = values.NodeSet(engine.TestSet(m.doc, m.prog.Tests[in.B]))
 		case OpScanCmp:
+			if err := m.charge(m.doc.NumNodes()); err != nil {
+				return values.Value{}, err
+			}
 			R[in.Dst] = values.NodeSet(m.scanCmp(in))
 		case OpUnionSet:
 			s := R[in.B].Set
@@ -246,6 +277,9 @@ func (m *machine) runBlock(block int, cn *xmltree.Node, cp, cs int) (values.Valu
 			s.IntersectWith(R[in.C].Set)
 			R[in.Dst] = values.NodeSet(s)
 		case OpComplement:
+			if err := m.charge(m.doc.NumNodes()); err != nil {
+				return values.Value{}, err
+			}
 			s := m.newSet()
 			s.UnionWith(m.doc.AllNodes())
 			s.SubtractWith(R[in.C].Set)
@@ -276,9 +310,19 @@ func (m *machine) runBlock(block int, cn *xmltree.Node, cp, cs int) (values.Valu
 			R[in.Dst] = values.NodeSet(s)
 		case OpSatHas:
 			R[in.Dst] = values.Boolean(R[in.A].Set.Has(cn))
+		case OpMemo:
+			v, err := m.runBlock(in.B, cn, cp, cs)
+			if err != nil {
+				return values.Value{}, err
+			}
+			R[in.Dst] = v
 		case OpReturn:
 			if tr != nil {
 				m.emitOp(block, opPC, in, inCard, t0)
+			}
+			if slot >= 0 {
+				m.arenaN = mark
+				m.memo.put(memoKey(slot, cn.Pre()), R[in.A])
 			}
 			return R[in.A], nil
 		default:
@@ -312,7 +356,7 @@ func setCard(v values.Value) int {
 func (m *machine) opInputCard(in *Instr) int {
 	switch in.Op {
 	case OpConst, OpCtxNode, OpRootSet, OpEmptySet, OpPosition, OpLast,
-		OpTestSet, OpScanCmp, OpJump:
+		OpTestSet, OpScanCmp, OpJump, OpMemo:
 		return trace.CardUnknown
 	case OpMove, OpNegate, OpCoerceBool, OpSatHas, OpReturn:
 		return setCard(m.regs[in.A])
@@ -345,27 +389,46 @@ func (m *machine) emitOp(block, pc int, in *Instr, inCard int, t0 int64) {
 	})
 }
 
-// step executes a fused predicate-free location step. Singleton sources
-// (the common case inside predicate blocks) walk the per-node neighborhood
-// instead of paying the O(|D|) set-at-a-time scan.
+// charge takes n units of fuel from the budget; without a budget it is one
+// predicted branch.
 //
 //xpathlint:noalloc
-func (m *machine) step(in *Instr, src *xmltree.Set) *xmltree.Set {
+func (m *machine) charge(n int) error {
+	if b := m.bud; b != nil {
+		return b.Step(int64(n))
+	}
+	return nil
+}
+
+// step executes a fused predicate-free location step. Singleton sources
+// (the common case inside predicate blocks) walk the per-node neighborhood
+// instead of paying the O(|D|) set-at-a-time scan, and cost their candidate
+// count + 1 in fuel instead of |D|.
+//
+//xpathlint:noalloc
+func (m *machine) step(in *Instr, src *xmltree.Set) (*xmltree.Set, error) {
 	axis, test := axes.Axis(in.A), m.prog.Tests[in.B]
 	if src.Len() == 1 {
 		m.st.AxisCalls++
 		buf := m.getBuf()
 		z := engine.Candidates(axis, test, src.First(), buf[:0])
+		if err := m.charge(len(z) + 1); err != nil {
+			m.putBuf(z)
+			return nil, err
+		}
 		out := m.newSet()
 		for _, n := range z {
 			out.Add(n)
 		}
 		m.putBuf(z)
-		return out
+		return out, nil
+	}
+	if err := m.charge(m.doc.NumNodes()); err != nil {
+		return nil, err
 	}
 	out := m.newSet()
 	engine.StepImageInto(&m.st, out, axis, test, src, &m.sc)
-	return out
+	return out, nil
 }
 
 // scanCmp executes the whole-document string-value comparison scan.
@@ -497,6 +560,9 @@ func (m *machine) stepSel(in *Instr, src *xmltree.Set) (*xmltree.Set, error) {
 		z := engine.Candidates(axis, test, x, buf[:0])
 		if cap(z) > cap(buf) {
 			buf = z
+		}
+		if err = m.charge(len(z) + 1); err != nil {
+			return
 		}
 		z, err = m.applyChain(in.Preds, z)
 		if err != nil {

@@ -75,7 +75,7 @@ type Config struct {
 	// (0 means unlimited). Exceeding it answers 422.
 	MaxResultCard int
 	// DefaultEngine evaluates requests that do not name an engine
-	// (zero value: EngineAuto, the paper's OPTMINCONTEXT).
+	// (zero value: EngineAuto, which resolves to EngineCompiled).
 	DefaultEngine xpath.Engine
 	// BatchWorkers bounds the per-batch fan-out pool inside Store.Query
 	// (≤ 0 means GOMAXPROCS), independent of the admission Workers.

@@ -118,6 +118,29 @@ func DeepChain(n int) *xmltree.Document {
 	return doc
 }
 
+// Pairs builds <a> holding n sections <b><c>1</c><c>2</c></b>: 3n + 1
+// elements, the size ladder of the NestedCountQuery families.
+func Pairs(n int) *xmltree.Document {
+	b := xmltree.NewBuilder()
+	b.Start("a")
+	for i := 0; i < n; i++ {
+		b.Start("b")
+		b.Elem("c", "1")
+		b.Elem("c", "2")
+		if err := b.End(); err != nil {
+			panic(err)
+		}
+	}
+	if err := b.End(); err != nil {
+		panic(err)
+	}
+	doc, err := b.Done()
+	if err != nil {
+		panic(err)
+	}
+	return doc
+}
+
 // WideFan builds a two-level document: a root with n-1 leaf children of
 // alternating labels, stressing the sibling axes and position predicates.
 func WideFan(n int) *xmltree.Document {

@@ -19,6 +19,24 @@ func DoublingQuery(i int) string {
 	return b.String()
 }
 
+// NestedCountQuery returns /descendant::*[P_k] with k nested predicates
+// that no satisfaction set can replace, so an evaluator that re-runs inner
+// predicates per outer candidate pays |D|^(k+1). The plain family has
+// P_0 = count(child::*) < 5 and P_(i+1) = count(following::*[P_i]) > 1,
+// position-independent throughout (Relev = {cn} at every level, the easy
+// case of §3.1); the positional family has P_0 = position() != last() and
+// P_(i+1) = count(following::*[P_i]) > position().
+func NestedCountQuery(k int, positional bool) string {
+	pred, outer := "count(child::*) < 5", "1"
+	if positional {
+		pred, outer = "position() != last()", "position()"
+	}
+	for i := 0; i < k; i++ {
+		pred = fmt.Sprintf("count(following::*[%s]) > %s", pred, outer)
+	}
+	return "/descendant::*[" + pred + "]"
+}
+
 // PositionHeavy is the paper's running query (§2.4): two descendant steps
 // with a position()/last() predicate. It keeps MINCONTEXT in its positional
 // loop, which is where the Theorem 7 time bound is exercised.

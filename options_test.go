@@ -160,11 +160,11 @@ func TestEngineNameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEngineResolved: auto resolves to the paper's combined processor, and
-// every selectable engine to itself.
+// TestEngineResolved: auto resolves to the compiled VM, and every
+// selectable engine to itself.
 func TestEngineResolved(t *testing.T) {
-	if got := EngineAuto.Resolved(); got != EngineOptMinContext {
-		t.Errorf("EngineAuto.Resolved() = %v, want optmincontext", got)
+	if got := EngineAuto.Resolved(); got != EngineCompiled {
+		t.Errorf("EngineAuto.Resolved() = %v, want compiled", got)
 	}
 	for _, e := range Engines() {
 		if got := e.Resolved(); got != e {

@@ -12,8 +12,8 @@ import (
 )
 
 // budgetEngines is every engine the budget contract must cover. EngineAuto
-// is the same implementation as EngineOptMinContext but kept separate so a
-// future auto-dispatch change cannot silently drop the budget.
+// is the same implementation as EngineCompiled but kept separate so a
+// future change of what auto resolves to cannot silently drop the budget.
 var budgetEngines = []Engine{
 	EngineAuto, EngineOptMinContext, EngineMinContext, EngineTopDown,
 	EngineBottomUp, EngineCoreXPath, EngineNaive, EngineCompiled,

@@ -93,7 +93,7 @@ func LoadStoreFile(path string) (*Store, error) {
 
 // BatchOptions configures one Store.Query batch.
 type BatchOptions struct {
-	// Engine selects the evaluation algorithm (default: OPTMINCONTEXT).
+	// Engine selects the evaluation algorithm (default: EngineCompiled).
 	Engine Engine
 	// Workers bounds the worker pool (≤ 0 means GOMAXPROCS). One worker is
 	// serial evaluation in ID order; any worker count produces the
@@ -176,7 +176,7 @@ func (st *Store) Query(src string, opts BatchOptions) (*BatchResult, error) {
 // ParallelOptions configures one EvaluateParallel call.
 type ParallelOptions struct {
 	// Engine selects the per-partition evaluation algorithm (default:
-	// OPTMINCONTEXT).
+	// EngineCompiled).
 	Engine Engine
 	// Workers bounds the goroutine pool (≤ 0 means GOMAXPROCS).
 	Workers int

@@ -5,13 +5,14 @@
 //
 // Seven interchangeable evaluation engines are provided:
 //
-//	OptMinContext  — Algorithm 8 (the paper's recommended processor; default)
+//	OptMinContext  — Algorithm 8 (the paper's recommended processor)
 //	MinContext     — Algorithm 6, Theorem 7 bounds
 //	TopDown        — the E↓ semantics of Definition 2 ([11])
 //	BottomUp       — the strict context-value-table E↑ ([11])
 //	CoreXPath      — linear-time engine for the Core XPath fragment
 //	Naive          — the exponential-time strategy of pre-2002 processors
-//	Compiled       — whole-query compilation to a register VM (internal/plan)
+//	Compiled       — whole-query compilation to a register VM (internal/plan;
+//	                 default)
 //
 // All engines implement the same semantics (XPath 1.0, minus the attribute
 // and namespace axes the paper's data model excludes) and can be compared
@@ -51,9 +52,10 @@ import (
 // Engine selects one of the evaluation algorithms.
 type Engine int
 
-// The available engines. EngineAuto uses OPTMINCONTEXT, the paper's
-// combined processor, which adheres to the best known bound for whatever
-// fragment each subexpression falls into.
+// The available engines. EngineAuto uses EngineCompiled, the register VM:
+// it runs set-at-a-time steps and backward propagation as compiled set
+// algebra, and it keeps a per-node table for every repeated subexpression
+// with Relev = {cn} (§3.1), so nested predicates stay polynomial.
 const (
 	EngineAuto Engine = iota
 	EngineOptMinContext
@@ -64,8 +66,9 @@ const (
 	EngineNaive
 	// EngineCompiled compiles the query to a flat register-VM program
 	// (internal/plan): fused set-at-a-time step opcodes, satisfaction-set
-	// predicate filters and static position() = k specialization. The
-	// program is compiled once per Query and kept on it.
+	// predicate filters, static position() = k specialization and per-node
+	// memo tables for nested predicates. The program is compiled once per
+	// Query and kept on it.
 	EngineCompiled
 )
 
@@ -126,11 +129,11 @@ func Engines() []Engine {
 var compiledEngine = plan.New()
 
 // Resolved returns the engine that evaluates for e: EngineAuto resolves to
-// EngineOptMinContext, the paper's combined processor, and every other
-// engine to itself. It is the one place that decides what "auto" means.
+// EngineCompiled, the register VM, and every other engine to itself. It is
+// the one place that decides what "auto" means.
 func (e Engine) Resolved() Engine {
 	if e == EngineAuto {
-		return EngineOptMinContext
+		return EngineCompiled
 	}
 	return e
 }
@@ -430,7 +433,7 @@ func (q *Query) Internal() *syntax.Query { return q.q }
 
 // Options configures one evaluation.
 type Options struct {
-	// Engine selects the evaluation algorithm (default: OPTMINCONTEXT).
+	// Engine selects the evaluation algorithm (default: EngineCompiled).
 	Engine Engine
 	// ContextNode evaluates relative to this node (default: document root).
 	ContextNode *Node
