@@ -200,8 +200,10 @@ func TestClaimNaiveExponential(t *testing.T) {
 
 // TestClaimNestedPredicatesPolynomial is the exponent gate of the nested
 // predicate families (workload.NestedCountQuery on workload.Pairs): each
-// polynomial engine's ContextsEvaluated grows at most quadratically in |D|
-// at every nesting depth k, and the exponent does not grow with k. Before
+// polynomial engine's ContextsEvaluated grows at most as |D|^1.25 on the
+// plain family (it measures 1.03–1.09) and quadratically on the positional
+// one (2.04–2.18), at every nesting depth k, and the exponent does not grow
+// with k. Before
 // the compiled VM memoized per-node subexpressions (OpMemo) it re-ran inner
 // predicate blocks per outer candidate and grew as |D|^(k+1): 3 188 666
 // contexts at n = 32, k = 3.
@@ -215,9 +217,9 @@ func TestClaimNestedPredicatesPolynomial(t *testing.T) {
 		xs[i] = float64(docs[i].NumNodes())
 	}
 	for _, positional := range []bool{false, true} {
-		family := "plain"
+		family, bound := "plain", 1.25
 		if positional {
-			family = "positional"
+			family, bound = "positional", 2.2
 		}
 		for _, eng := range engines {
 			t.Run(family+"/"+eng.Name(), func(t *testing.T) {
@@ -242,8 +244,8 @@ func TestClaimNestedPredicatesPolynomial(t *testing.T) {
 						}
 					}
 					slopes[k] = fitExponent(xs, ys)
-					if slopes[k] > 2.2 {
-						t.Errorf("k=%d: contexts grow as |D|^%.2f, want ≤ 2.2 (contexts %v)", k, slopes[k], ys)
+					if slopes[k] > bound {
+						t.Errorf("k=%d: contexts grow as |D|^%.2f, want ≤ %.2f (contexts %v)", k, slopes[k], bound, ys)
 					}
 				}
 				t.Logf("|D|-exponents k=1..4: %.2f %.2f %.2f %.2f", slopes[1], slopes[2], slopes[3], slopes[4])

@@ -19,7 +19,7 @@
 // evalByCnodeOnly, evalSingleContext, evalInnerLocpath, evalBottomupPath
 // and propagatePathBackwards.
 //
-// One documented fidelity correction (see DESIGN.md): in the positional
+// One fidelity correction, made on purpose: in the positional
 // branch of propagate_path_backwards, the paper's pseudo-code computes
 // predicate positions within the backward-propagated candidate subset
 // Z ⊆ Y′. Positions are defined by Definition 2 over *all* candidates

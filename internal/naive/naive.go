@@ -6,10 +6,10 @@
 // which steps fan out and refold (e.g. the b/parent::a doubling queries of
 // [11]) cost time exponential in the query size.
 //
-// This engine is the documented substitution for the proprietary
-// comparators (see DESIGN.md §3): it is semantically a correct XPath 1.0
-// evaluator — results are deduplicated at the very end — and differs from
-// the polynomial engines only in its evaluation strategy.
+// This engine stands in for those processors, which this repository does
+// not ship: it is semantically a correct XPath 1.0 evaluator — results are
+// deduplicated at the very end — and differs from the polynomial engines
+// only in its evaluation strategy.
 package naive
 
 import (

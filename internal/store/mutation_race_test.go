@@ -3,22 +3,68 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"regexp"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/values"
 	"repro/internal/xmltree"
 )
 
 // These tests pin the mutation layer's concurrency promise under -race:
 // Replace and Remove may run against live query traffic — batch Query,
 // EvaluateParallel, WriteSnapshot — and every reader observes some
-// complete document version (old or new), never a torn state. Mutators
-// parse a fresh document per iteration: a stored document's label storage
-// belongs to the store (InternLabels runs inside Replace), so re-adding
-// the same instance would be the caller's race, not the store's.
+// complete document version (old or new), never a torn state. Documents
+// are immutable from the moment they are built and the store never writes
+// to one, so the same instance may be added to any number of stores, or
+// added again, while it is being evaluated.
+
+// TestSharedDocumentAddedConcurrently: one parsed document is added to two
+// stores while a third goroutine evaluates and serializes it.
+func TestSharedDocumentAddedConcurrently(t *testing.T) {
+	doc := xmltree.MustParseString(`<a id="r">` + bigChildren(50) + `</a>`)
+	q := mustQuery(t, `count(/descendant::b[child::c])`)
+	eng := core.NewOptMinContext()
+	stores := []*Store{New(), New()}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, s := range stores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := s.Add("shared", doc); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < 10; i++ {
+			v, _, err := eng.Evaluate(q, doc, engine.RootContext(doc))
+			if err != nil || v.Num != 50 {
+				t.Errorf("evaluate: %v, %v", values.Render(v), err)
+				return
+			}
+			if err := doc.WriteSnapshot(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	for i, s := range stores {
+		if d, ok := s.Get("shared"); !ok || d != doc {
+			t.Errorf("store %d: shared document not stored", i)
+		}
+	}
+}
 
 func TestReplaceConcurrentWithQuery(t *testing.T) {
 	s := corpus(t, 8)
@@ -60,7 +106,7 @@ func TestReplaceConcurrentWithQuery(t *testing.T) {
 func TestRemoveConcurrentWithEvaluateParallel(t *testing.T) {
 	s := New()
 	// One big shared document under parallel evaluation while unrelated IDs
-	// churn through Replace/Remove: the interner is the shared surface.
+	// churn through Replace/Remove.
 	shared := xmltree.MustParseString(`<a>` + bigChildren(200) + `</a>`)
 	if err := s.Add("shared", shared); err != nil {
 		t.Fatal(err)

@@ -17,9 +17,8 @@ import (
 
 // Corpus snapshots persist a whole store: the per-document binary snapshot
 // format of internal/xmltree, framed with document IDs. Loading a corpus
-// rebuilds every document with all evaluation indexes and re-interns labels
-// into the store's shared table, so a snapshot round trip is the cheap
-// preparation path for batch serving.
+// rebuilds every document with all evaluation indexes, so a snapshot round
+// trip is the cheap preparation path for batch serving.
 //
 // The "XPC2" format is self-verifying: every section carries a CRC32-C,
 // the header carries the corpus generation (the durability layer's

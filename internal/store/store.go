@@ -30,18 +30,16 @@ type shard struct {
 
 // Store is a sharded map from document IDs to immutable documents. All
 // methods are safe for concurrent use; reads take only a per-shard RLock.
-// Labels of every added document are interned into one table shared across
-// the corpus, so a thousand documents over one schema carry one copy of
-// each tag name.
+// The store never writes to a document: label sharing across the corpus is
+// settled when each document is built (see xmltree's buildTopology).
 type Store struct {
 	seed   maphash.Seed
 	shards [numShards]shard
-	intern *xmltree.Interner
 }
 
 // New returns an empty store.
 func New() *Store {
-	s := &Store{seed: maphash.MakeSeed(), intern: xmltree.NewInterner()}
+	s := &Store{seed: maphash.MakeSeed()}
 	for i := range s.shards {
 		s.shards[i].docs = make(map[string]*xmltree.Document)
 	}
@@ -71,33 +69,26 @@ func validateDoc(id string, doc *xmltree.Document) error {
 	return nil
 }
 
-// Add inserts (or replaces) the document under the given ID, interning its
-// labels into the store's shared table. The store takes over the document's
-// label storage: doc must not be evaluated concurrently with the Add call
-// itself (afterwards it is immutable again and freely shareable).
+// Add inserts (or replaces) the document under the given ID. The document
+// is only referenced, never modified, so it may be evaluated, and added to
+// other stores, concurrently with the call.
 func (s *Store) Add(id string, doc *xmltree.Document) error {
 	_, err := s.Replace(id, doc)
 	return err
 }
 
 // Replace atomically swaps the document under the ID (inserting if absent)
-// and reports whether a previous document was displaced. Readers holding
-// the old document keep a fully valid tree — displacement only drops the
-// store's interner references for labels no live document uses; it never
-// mutates the departing document.
+// and reports whether a previous document was displaced. Neither document
+// is modified: readers holding the old one keep a fully valid tree.
 func (s *Store) Replace(id string, doc *xmltree.Document) (bool, error) {
 	if err := validateDoc(id, doc); err != nil {
 		return false, err
 	}
-	doc.InternLabels(s.intern)
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	old, replaced := sh.docs[id]
+	_, replaced := sh.docs[id]
 	sh.docs[id] = doc
 	sh.mu.Unlock()
-	if replaced {
-		old.ReleaseLabels(s.intern)
-	}
 	return replaced, nil
 }
 
@@ -115,12 +106,9 @@ func (s *Store) Get(id string) (*xmltree.Document, bool) {
 func (s *Store) Remove(id string) bool {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	old, ok := sh.docs[id]
+	_, ok := sh.docs[id]
 	delete(sh.docs, id)
 	sh.mu.Unlock()
-	if ok {
-		old.ReleaseLabels(s.intern)
-	}
 	return ok
 }
 
@@ -152,9 +140,6 @@ func (s *Store) IDs() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Interner exposes the shared label table (for tests and diagnostics).
-func (s *Store) Interner() *xmltree.Interner { return s.intern }
 
 // snapshot returns a point-in-time (id, doc) listing sorted by ID. Each
 // shard is read under its RLock; the listing as a whole is not atomic

@@ -3,9 +3,13 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -15,6 +19,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/values"
 	"repro/internal/workload"
+	"repro/internal/xmltree"
 )
 
 func mustQuery(t *testing.T, src string) *syntax.Query {
@@ -87,24 +92,48 @@ func TestIDsSorted(t *testing.T) {
 	}
 }
 
-// TestLabelInterning: documents added to one store share canonical label
-// strings, and the intern table stays bounded by the vocabulary size.
-func TestLabelInterning(t *testing.T) {
+// TestRemovedNamesCollectable: the canonical bytes of a label or attribute
+// name are freed once every document carrying it has left the store and
+// been dropped. A build that pins names, such as one global intern map,
+// fails it. The names are 64 bytes or longer, so each canonical copy is an
+// allocation of its own.
+func TestRemovedNamesCollectable(t *testing.T) {
 	s := New()
+	label, attr := "churn"+strings.Repeat("l", 64), "churn"+strings.Repeat("n", 64)
+	var names []weak.Pointer[byte]
 	for i := 0; i < 8; i++ {
-		if err := s.Add(fmt.Sprintf("d%d", i), workload.Scaled(100)); err != nil {
+		doc := xmltree.MustParseString(fmt.Sprintf(`<%s %s="%d"><%s/></%s>`, label, attr, i, label, label))
+		if err := s.Add(fmt.Sprintf("d%d", i), doc); err != nil {
 			t.Fatal(err)
 		}
+		el := doc.Root().Children()[0]
+		names = append(names,
+			weak.Make(unsafe.StringData(el.Label())),
+			weak.Make(unsafe.StringData(el.Attrs()[0].Name)))
 	}
-	// Scaled uses labels a, b, c, d and the attribute name id.
-	if n := s.Interner().Len(); n > 8 {
-		t.Errorf("interner holds %d strings; want the corpus vocabulary (≤ 8)", n)
+	for i := 0; i < 8; i++ {
+		if !s.Remove(fmt.Sprintf("d%d", i)) {
+			t.Fatalf("Remove(d%d): not present", i)
+		}
 	}
-	d0, _ := s.Get("d0")
-	d1, _ := s.Get("d1")
-	l0, l1 := d0.Root().Children()[0].Label(), d1.Root().Children()[0].Label()
-	if l0 != l1 {
-		t.Fatalf("labels differ: %q vs %q", l0, l1)
+	// The runtime drops a canonical string in two steps (its handle, then
+	// the table entry holding the bytes), so poll across several cycles.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		live := 0
+		for _, w := range names {
+			if w.Value() != nil {
+				live++
+			}
+		}
+		if live == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d name strings of removed documents are still reachable", live, len(names))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

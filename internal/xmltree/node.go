@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unique"
 )
 
 // Node is a single node of the document tree. The zero value is not useful;
@@ -196,18 +197,20 @@ type Document struct {
 	nodes []*Node // document order; nodes[0] is the root
 
 	ids      map[string]*Node
-	byLabel  map[string]*Set
 	allElems *Set // T(*): every node except the document root
 	allNodes *Set // node(): every node including the document root
 	emptySet *Set // shared T(t) for labels absent from the document
 
 	// Flat structure-of-arrays tree encoding (see topology.go) plus the
-	// always-on per-document label table backing it: labels[id] is the
-	// canonical string of dense label ID id, labelSets[id] its T(t) bitset.
+	// per-document label table backing it: labels[id] is the canonical
+	// label of dense label ID id, labelSets[id] its T(t) bitset. attrNames
+	// holds the canonical attribute names. The handles keep those strings
+	// shared across documents for as long as this document lives.
 	topo      Topology
-	labels    []string
+	labels    []unique.Handle[string]
 	labelIDs  map[string]int32
 	labelSets []*Set
+	attrNames []unique.Handle[string]
 }
 
 // Root returns the synthetic document root (the node selected by "/").
@@ -306,8 +309,8 @@ func isSpaceRune(r rune) bool {
 // LabelSet returns T(t) for a tag name t: the set of nodes labeled t. The
 // returned set is cached and shared; callers must not modify it.
 func (d *Document) LabelSet(label string) *Set {
-	if s, ok := d.byLabel[label]; ok {
-		return s
+	if id, ok := d.labelIDs[label]; ok {
+		return d.labelSets[id]
 	}
 	// Unknown labels share one canonical empty set per document, built at
 	// finish() time: caching per unknown label here would write the map and
@@ -352,7 +355,6 @@ func (d *Document) finish() {
 		order[i].computeStrval()
 	}
 
-	d.byLabel = make(map[string]*Set)
 	d.allElems = NewSet(d)
 	d.allNodes = NewSet(d)
 	d.emptySet = NewSet(d)
@@ -362,12 +364,6 @@ func (d *Document) finish() {
 			continue
 		}
 		d.allElems.Add(n)
-		s, ok := d.byLabel[n.label]
-		if !ok {
-			s = NewSet(d)
-			d.byLabel[n.label] = s
-		}
-		s.Add(n)
 		if id, ok := n.Attr("id"); ok {
 			if _, dup := d.ids[id]; !dup {
 				d.ids[id] = n

@@ -206,7 +206,9 @@ func NewBuilder() *Builder {
 	return &Builder{root: root, stack: []*Node{root}, count: 1}
 }
 
-// Start opens a new element with the given label and attributes.
+// Start opens a new element with the given label and attributes. The
+// element keeps attrs without copying it, and Done replaces each Name with
+// its canonical copy, so the slice belongs to the builder from this call on.
 func (b *Builder) Start(label string, attrs ...Attr) *Builder {
 	if b.err != nil {
 		return b

@@ -1,5 +1,7 @@
 package xmltree
 
+import "unique"
+
 // Topology is the flat structure-of-arrays encoding of a document's tree
 // shape, built once at finish() time. All slices are indexed by the node's
 // document-order (pre) index and are immutable after construction, so they
@@ -55,6 +57,15 @@ func (t *Topology) Bytes() int64 {
 // buildTopology fills d.topo and the label table from the finished node
 // slice. Called exactly once, by finish, after pre/start/end/level/sibIdx
 // have been assigned.
+//
+// Every distinct element label and attribute name is canonicalized once per
+// document with unique.Make, and each node's strings are replaced by the
+// canonical copy. Equal names are then pointer-equal within the document and
+// across all live documents, and the parser's per-document copies become
+// collectable. The document keeps the handles (labels, attrNames), so the
+// runtime drops a name only once no live document holds it. This is the
+// last write to the nodes: from here on the document is immutable and any
+// number of goroutines may read it.
 func (d *Document) buildTopology() {
 	n := len(d.nodes)
 	t := &d.topo
@@ -71,6 +82,7 @@ func (d *Document) buildTopology() {
 	t.KidList = make([]int32, n-1) // every node but the root is some child
 
 	d.labelIDs = make(map[string]int32)
+	attrNames := make(map[string]unique.Handle[string])
 	for pre, nd := range d.nodes {
 		if p := nd.parent; p != nil {
 			t.Parent[pre] = int32(p.pre)
@@ -83,17 +95,25 @@ func (d *Document) buildTopology() {
 		t.SibIdx[pre] = int32(nd.sibIdx)
 		t.KidOff[pre+1] = t.KidOff[pre] + int32(len(nd.kids))
 
-		// Always-on per-document label interning: every node's label string
-		// is replaced by the canonical first occurrence, so equal labels are
-		// pointer-equal within the document and each label gets a dense ID.
 		id, ok := d.labelIDs[nd.label]
 		if !ok {
 			id = int32(len(d.labels))
-			d.labelIDs[nd.label] = id
-			d.labels = append(d.labels, nd.label)
+			h := unique.Make(nd.label)
+			d.labels = append(d.labels, h)
+			d.labelIDs[h.Value()] = id
 		}
-		nd.label = d.labels[id]
+		nd.label = d.labels[id].Value()
 		t.LabelID[pre] = id
+		for i := range nd.attrs {
+			a := &nd.attrs[i]
+			h, ok := attrNames[a.Name]
+			if !ok {
+				h = unique.Make(a.Name)
+				attrNames[h.Value()] = h
+				d.attrNames = append(d.attrNames, h)
+			}
+			a.Name = h.Value()
+		}
 	}
 	for pre, nd := range d.nodes {
 		row := t.KidList[t.KidOff[pre]:t.KidOff[pre+1]]
@@ -112,15 +132,18 @@ func (d *Document) buildTopology() {
 		}
 	}
 
-	// Per-labelID bitsets, aligned with the label table; shared with the
-	// byLabel map so LabelSet keeps returning the same canonical sets.
+	// T(t) per label ID. The root (pre 0) is in no T(t): node tests never
+	// match it by name, so a label only the root carries maps to emptySet.
 	d.labelSets = make([]*Set, len(d.labels))
-	for id, label := range d.labels {
-		if s, ok := d.byLabel[label]; ok {
-			d.labelSets[id] = s
-		} else {
-			// The root's empty label (and any label only the root carries)
-			// has no T(t) set; node tests never match the root by name.
+	for pre := 1; pre < n; pre++ {
+		id := t.LabelID[pre]
+		if d.labelSets[id] == nil {
+			d.labelSets[id] = NewSet(d)
+		}
+		d.labelSets[id].AddPre(pre)
+	}
+	for id, s := range d.labelSets {
+		if s == nil {
 			d.labelSets[id] = d.emptySet
 		}
 	}
@@ -131,7 +154,7 @@ func (d *Document) buildTopology() {
 func (d *Document) LabelCount() int { return len(d.labels) }
 
 // LabelByID returns the canonical label string with the given dense ID.
-func (d *Document) LabelByID(id int32) string { return d.labels[id] }
+func (d *Document) LabelByID(id int32) string { return d.labels[id].Value() }
 
 // LabelIDOf returns the dense ID of a label and whether the label occurs in
 // the document at all.

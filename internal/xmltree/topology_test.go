@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // randomDoc builds a seeded random document of about n elements directly
@@ -210,8 +211,8 @@ func TestSetCardinalityInvariant(t *testing.T) {
 	}
 }
 
-// TestLabelTableCanonical checks the always-on interning property: equal
-// labels within one document share one backing string.
+// TestLabelTableCanonical checks the label table: equal labels within one
+// document resolve to the table's canonical string.
 func TestLabelTableCanonical(t *testing.T) {
 	doc, err := ParseString("<a><b/><b/><c><b/></c></a>")
 	if err != nil {
@@ -241,4 +242,27 @@ func TestLabelTableCanonical(t *testing.T) {
 	if doc.LabelCount() != 4 { // "", a, b, c
 		t.Fatalf("LabelCount = %d, want 4", doc.LabelCount())
 	}
+}
+
+// TestNamesSharedAcrossDocuments: two documents parsed separately, and in
+// no store, share the backing bytes of equal labels and attribute names.
+// (Multi-byte names: the runtime shares one-byte strings anyway.)
+func TestNamesSharedAcrossDocuments(t *testing.T) {
+	d1 := MustParseString(`<item code="1"><part unit="kg"/></item>`)
+	d2 := MustParseString(`<item code="2"><part unit="m"/><item code="3"/></item>`)
+	same := func(what, s1, s2 string) {
+		t.Helper()
+		if s1 != s2 || unsafe.StringData(s1) != unsafe.StringData(s2) {
+			t.Errorf("%s: %q and %q do not share backing bytes", what, s1, s2)
+		}
+	}
+	item1, item2 := d1.Root().Children()[0], d2.Root().Children()[0]
+	part1, part2 := item1.Children()[0], item2.Children()[0]
+	same("label item", item1.Label(), item2.Label())
+	same("label part", part1.Label(), part2.Label())
+	same("nested label item", item1.Label(), item2.Children()[1].Label())
+	same("attribute code", item1.Attrs()[0].Name, item2.Attrs()[0].Name)
+	same("attribute unit", part1.Attrs()[0].Name, part2.Attrs()[0].Name)
+	id, _ := d2.LabelIDOf("part")
+	same("label table", d2.LabelByID(id), part1.Label())
 }

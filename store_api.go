@@ -8,9 +8,10 @@ import (
 
 // Store is a sharded, concurrency-safe corpus of documents with batch
 // evaluation: one compiled query fanned out across many documents on a
-// bounded worker pool. Labels are interned into one table shared across the
-// corpus, and whole corpora round-trip through binary snapshots
-// (WriteSnapshot / LoadStore) without re-parsing XML.
+// bounded worker pool. Whole corpora round-trip through binary snapshots
+// (WriteSnapshot / LoadStore) without re-parsing XML. The store never
+// modifies a document: equal labels already share one string across all
+// live documents from the moment each is parsed.
 //
 // All methods are safe for concurrent use from any number of goroutines.
 type Store struct {
@@ -20,10 +21,9 @@ type Store struct {
 // NewStore returns an empty document store.
 func NewStore() *Store { return &Store{s: store.New()} }
 
-// Add inserts (or replaces) a document under the given ID. The store
-// interns the document's labels into its shared table during the call, so
-// the document must not be concurrently evaluated while Add runs
-// (afterwards it is immutable again and freely shareable).
+// Add inserts (or replaces) a document under the given ID. Documents are
+// immutable, so the same document may be evaluated, or added to other
+// stores, while Add runs.
 func (st *Store) Add(id string, doc *Document) error {
 	if doc == nil {
 		return st.s.Add(id, nil) // the store's nil-document error
@@ -43,8 +43,7 @@ func (st *Store) Get(id string) (*Document, bool) {
 // Replace atomically swaps the document under the ID (inserting if absent)
 // and reports whether a previous document was displaced. Readers that
 // obtained the old document keep a fully valid tree; in-flight evaluations
-// see either the old or the new document, never a mixture. The interning
-// caveat of Add applies to the incoming document.
+// see either the old or the new document, never a mixture.
 func (st *Store) Replace(id string, doc *Document) (bool, error) {
 	if doc == nil {
 		return st.s.Replace(id, nil) // the store's nil-document error
